@@ -36,14 +36,6 @@ use crate::predicate::{Atom, Operand, Predicate};
 use crate::sca::{ScaExpr, Summarize};
 use crate::zset::ZSet;
 
-/// Mutation hook: `CHRONICLE_MUTATE=scalar_fallback` disables the
-/// vectorized kernels entirely, forcing every view onto the per-tuple
-/// interpreter. Results are identical by design — the observable is the
-/// `vectorized` execution counter, which CI asserts is non-zero.
-pub fn scalar_fallback_forced() -> bool {
-    std::env::var("CHRONICLE_MUTATE").is_ok_and(|v| v == "scalar_fallback")
-}
-
 /// One step of a compiled select/project chain, bottom-up order.
 #[derive(Debug, Clone)]
 enum PlanStep {

@@ -43,7 +43,7 @@ pub use aggregate::{AccState, Accumulator, AggFunc, AggSpec};
 pub use classify::{CostModel, ImClass, LanguageFragment};
 pub use delta::{DeltaBatch, SummaryDelta, WorkCounter};
 pub use expr::{CaExpr, ChronicleRef, RelationRef};
-pub use kernels::{plan as vector_plan, scalar_fallback_forced, VectorPlan};
+pub use kernels::{plan as vector_plan, VectorPlan};
 pub use predicate::{Atom, CmpOp, Operand, Predicate};
 pub use relq::RelQuery;
 pub use rewrite::optimize;

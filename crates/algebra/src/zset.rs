@@ -17,15 +17,7 @@
 
 use std::collections::btree_map::{self, BTreeMap};
 
-use chronicle_types::{ChronicleError, Result, Tuple};
-
-/// Test-only sabotage switch: `CHRONICLE_MUTATE=skip_consolidation`
-/// disables zero-weight elimination everywhere it is load-bearing (here
-/// and in the materialized view states). verify.sh runs the differential
-/// oracle suite under this mutation and requires it to FAIL.
-pub fn consolidation_disabled() -> bool {
-    std::env::var("CHRONICLE_MUTATE").is_ok_and(|v| v == "skip_consolidation")
-}
+use chronicle_types::{mutate, ChronicleError, Result, Tuple};
 
 /// A weighted tuple collection with consolidation-on-insert.
 ///
@@ -66,13 +58,13 @@ impl ZSet {
     pub fn insert(&mut self, tuple: Tuple, weight: i64) {
         match self.entries.entry(tuple) {
             btree_map::Entry::Vacant(v) => {
-                if weight != 0 || consolidation_disabled() {
+                if weight != 0 || mutate("skip_consolidation") {
                     v.insert(weight);
                 }
             }
             btree_map::Entry::Occupied(mut o) => {
                 let w = *o.get() + weight;
-                if w == 0 && !consolidation_disabled() {
+                if w == 0 && !mutate("skip_consolidation") {
                     o.remove();
                 } else {
                     *o.get_mut() = w;

@@ -14,7 +14,7 @@
 use chronicle_bench::timer::{BenchmarkId, Criterion, Throughput};
 use chronicle_bench::{criterion_group, criterion_main};
 
-use chronicle_db::pipeline::Pipeline;
+use chronicle_db::pipeline::ShardedPipeline;
 use chronicle_db::ChronicleDb;
 use chronicle_testkit::TempDir;
 use chronicle_types::{Chronon, Value};
@@ -86,7 +86,7 @@ fn bench_group_commit(c: &mut Criterion) {
                     let tmp = TempDir::new("e14-gc");
                     let mut db = ChronicleDb::open(tmp.path()).unwrap();
                     apply_ddl(&mut db);
-                    let pipe = Pipeline::start(db, 256);
+                    let pipe = ShardedPipeline::start(db.into(), 256);
                     let mut joins = Vec::new();
                     for t in 0..p {
                         let h = pipe.handle();

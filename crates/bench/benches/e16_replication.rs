@@ -111,7 +111,7 @@ fn catch_up(db: &ShardedDb) -> (u64, u64) {
         }
     }
     assert_eq!(
-        follower.snapshot_views(),
+        follower.db().snapshot_views(),
         db.snapshot_views(),
         "caught-up follower must mirror the leader"
     );

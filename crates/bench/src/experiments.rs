@@ -10,7 +10,7 @@ use chronicle_algebra::{
     AggFunc, AggSpec, CaExpr, CmpOp, Predicate, RelationRef, ScaExpr, WorkCounter,
 };
 use chronicle_db::baseline::{NaiveRecomputeView, ProceduralSummary, StoredThetaJoinCount};
-use chronicle_db::pipeline::{Pipeline, ShardedPipeline};
+use chronicle_db::pipeline::ShardedPipeline;
 use chronicle_db::{shard_of_group, ChronicleDb, DurabilityOptions, FollowerDb, ShardedDb};
 use chronicle_net::{ShipEvent, Shipper, WalSource, DEFAULT_CHUNK};
 use chronicle_store::{Catalog, Retention};
@@ -841,7 +841,7 @@ pub fn e11_throughput(scale: u32) -> (Figure, Figure) {
         .expect("ddl");
     db.execute("CREATE VIEW balances AS SELECT acct, SUM(amount) AS b FROM atm GROUP BY acct")
         .expect("ddl");
-    let pipeline = Pipeline::start(db, 1024);
+    let pipeline = ShardedPipeline::start(db.into(), 1024);
     let start = std::time::Instant::now();
     let mut joins = Vec::new();
     for p in 0..4u64 {
@@ -1359,7 +1359,7 @@ pub fn e16_replication(scale: u32) -> Figure {
         tp.push(n as f64, records as f64 / elapsed.max(1e-9));
         shipped.push(n as f64, bytes as f64);
         lag.push(n as f64, follower.replication_lag().unwrap_or(0) as f64);
-        all_identical &= follower.snapshot_views() == db.snapshot_views();
+        all_identical &= follower.db().snapshot_views() == db.snapshot_views();
     }
     fig.series.push(tp);
     fig.series.push(shipped);

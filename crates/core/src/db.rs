@@ -16,8 +16,8 @@ use chronicle_sql::{
 };
 use chronicle_store::{Catalog, RelationChange, Retention};
 use chronicle_types::{
-    ChronicleError, ChronicleId, Chronon, GroupId, RelationId, Result, Schema, SeqNo, Tuple, Value,
-    ViewId,
+    mutate, ChronicleError, ChronicleId, Chronon, GroupId, RelationId, Result, Schema, SeqNo,
+    Tuple, Value, ViewId,
 };
 use chronicle_views::{
     AppendEvent, BatchMode, Calendar, Maintainer, MaintenanceReport, PeriodicViewSet, RouteMode,
@@ -52,7 +52,6 @@ pub enum ExecOutcome {
     Dropped(String),
 }
 
-use crate::mutate;
 use crate::session::{CachedOutcome, SessionTable};
 
 /// Live durability plumbing for a database opened at a path.
@@ -284,11 +283,6 @@ impl ChronicleDb {
         self.durability.as_ref().ok_or(ChronicleError::Durability {
             detail: "WAL shipping requires a database opened with ChronicleDb::open".into(),
         })
-    }
-
-    /// Every live WAL segment, oldest first (see [`Wal::segments`]).
-    pub fn wal_segments(&self) -> Result<Vec<SegmentInfo>> {
-        Ok(self.durability_ref()?.wal.segments())
     }
 
     /// The live segment containing `lsn` (see [`Wal::segment_containing`]).
@@ -648,7 +642,7 @@ impl ChronicleDb {
     }
 
     /// True iff the catalog holds a group named `group`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn has_group(&self, group: &str) -> bool {
         self.catalog.group_id(group).is_ok()
     }
@@ -1411,6 +1405,20 @@ impl ChronicleDb {
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// [`ChronicleDb::execute`] or, given a stamp,
+    /// [`ChronicleDb::execute_stamped`] — the one entry point the sharded
+    /// facade and the pipeline worker route statements through.
+    pub(crate) fn execute_with(
+        &mut self,
+        sql: &str,
+        stamp: Option<(u64, u64)>,
+    ) -> Result<ExecOutcome> {
+        match stamp {
+            Some((session, seq)) => self.execute_stamped(sql, session, seq),
+            None => self.execute(sql),
         }
     }
 

@@ -29,23 +29,21 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use chronicle_durability::{
-    DurabilityOptions, RecoveryPolicy, ShardManifest, WalIngest, WalRecord,
-};
+use chronicle_durability::{DurabilityOptions, ShardManifest, WalIngest};
 use chronicle_simkit::{RealFs, Vfs};
-use chronicle_types::{ChronicleError, Result, Tuple, Value};
+use chronicle_types::{mutate, ChronicleError, Result};
 
 use crate::db::ChronicleDb;
-use crate::mutate;
-use crate::shard::{ShardRoutes, ShardedDb};
+use crate::shard::ShardedDb;
 use crate::stats::DbStats;
 
-/// A read-only sharded replica fed by leader WAL bytes.
+/// A read-only sharded replica fed by leader WAL bytes: a write-detached
+/// [`ShardedDb`] (read it through [`FollowerDb::db`]) plus the per-shard
+/// ingest state that is the only way mutations reach it.
 #[derive(Debug)]
 pub struct FollowerDb {
-    shards: Vec<ChronicleDb>,
+    db: ShardedDb,
     ingests: Vec<WalIngest>,
-    routes: ShardRoutes,
     /// Leader's last durable lsn per shard, from heartbeats (0 = unseen).
     leader_durable: Vec<u64>,
     /// How this follower was opened — kept so [`FollowerDb::promote`] can
@@ -70,50 +68,17 @@ impl FollowerDb {
 
     /// [`FollowerDb::open_with`] against an explicit filesystem (the
     /// deterministic replication simulation runs followers over
-    /// [`SimFs`](chronicle_simkit::SimFs)).
+    /// [`SimFs`](chronicle_simkit::SimFs)). Shards recover serially, in
+    /// shard order, so a simulated disk sees one deterministic operation
+    /// sequence.
     pub fn open_with_vfs(
         vfs: Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         shards: usize,
         opts: DurabilityOptions,
     ) -> Result<FollowerDb> {
-        if shards == 0 {
-            return Err(ChronicleError::Internal(
-                "a follower database needs at least one shard".into(),
-            ));
-        }
         let root = path.as_ref();
-        vfs.create_dir_all(root)
-            .map_err(|e| ChronicleError::Durability {
-                detail: format!("creating database directory {}: {e}", root.display()),
-            })?;
-        // Same manifest discipline as the leader side: corrupt manifests
-        // are quarantined under Salvage, a *valid* manifest that disagrees
-        // with the requested shard count is a loud operator error.
-        let loaded = match ShardManifest::load_with_vfs(vfs.as_ref(), root) {
-            Err(ChronicleError::Corruption { .. }) if opts.recovery == RecoveryPolicy::Salvage => {
-                ShardManifest::quarantine_with_vfs(vfs.as_ref(), root, opts.fsync)?;
-                None
-            }
-            other => other?,
-        };
-        match loaded {
-            Some(m) if m.shards as usize != shards => {
-                return Err(ChronicleError::Durability {
-                    detail: format!(
-                        "shard count mismatch: {} is partitioned into {} shards, requested {}",
-                        root.display(),
-                        m.shards,
-                        shards
-                    ),
-                });
-            }
-            Some(_) => {}
-            None => ShardManifest {
-                shards: shards as u32,
-            }
-            .write_with_vfs(vfs.as_ref(), root, opts.fsync)?,
-        }
+        let manifest_salvaged = ShardedDb::open_root(vfs.as_ref(), root, shards, opts)?;
         let mut dbs = Vec::with_capacity(shards);
         let mut ingests = Vec::with_capacity(shards);
         for i in 0..shards {
@@ -134,11 +99,9 @@ impl FollowerDb {
             )?);
             dbs.push(db);
         }
-        let routes = ShardedDb::rebuild_routes(&dbs);
         Ok(FollowerDb {
-            shards: dbs,
+            db: ShardedDb::from_shards(dbs, manifest_salvaged),
             ingests,
-            routes,
             leader_durable: vec![0; shards],
             vfs,
             root: root.to_path_buf(),
@@ -146,22 +109,23 @@ impl FollowerDb {
         })
     }
 
-    // ---- leadership term (failover fencing, DESIGN.md §17) ----------------
-
-    /// The highest leadership term this follower has replayed (0 until a
-    /// `Term` record has shipped).
-    pub fn term(&self) -> u64 {
-        self.shards.iter().map(|s| s.term()).max().unwrap_or(0)
+    /// The replica's state, read-only: every [`ShardedDb`] read
+    /// (`query_view`, `select`, `term`, `session_last_seq`,
+    /// `snapshot_views`, `shard`, …) answers from the continuously
+    /// replayed views. At equal applied lsns the answers are directly
+    /// comparable with the leader's.
+    pub fn db(&self) -> &ShardedDb {
+        &self.db
     }
 
     /// Fence an incoming leader stream: a leader announcing a term *below*
-    /// what this follower has already replayed is a zombie — typically the
-    /// deposed leader's shipper still draining after this follower was
-    /// promoted elsewhere in a chain, or reconnecting after a partition
-    /// healed. Accepting its bytes would fork the history, so the stream
-    /// is refused with a typed [`ChronicleError::Fenced`].
+    /// what this follower has already replayed (DESIGN.md §17) is a zombie
+    /// — typically the deposed leader's shipper still draining after this
+    /// follower was promoted elsewhere in a chain, or reconnecting after a
+    /// partition healed. Accepting its bytes would fork the history, so
+    /// the stream is refused with a typed [`ChronicleError::Fenced`].
     pub fn check_leader_term(&self, leader_term: u64) -> Result<()> {
-        let current = self.term();
+        let current = self.db.term();
         if leader_term < current && !mutate("skip_fencing") {
             return Err(ChronicleError::Fenced {
                 observed: leader_term,
@@ -169,16 +133,6 @@ impl FollowerDb {
             });
         }
         Ok(())
-    }
-
-    /// Highest sequence number replayed for `session` on any shard — what
-    /// a semi-synchronous leader consults to learn whether a stamped
-    /// statement has reached this follower.
-    pub fn session_last_seq(&self, session: u64) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.session_last_seq(session))
-            .max()
     }
 
     /// Promote this follower into a live leader: drop the ingest plumbing,
@@ -191,31 +145,26 @@ impl FollowerDb {
     /// request the promoted node serves.
     pub fn promote(self) -> Result<ShardedDb> {
         let FollowerDb {
-            shards,
+            db,
             ingests,
             vfs,
             root,
             opts,
             ..
         } = self;
-        let old_term = shards.iter().map(|s| s.term()).max().unwrap_or(0);
-        let n = shards.len();
+        let old_term = db.term();
+        let n = db.shard_count();
         // Release every file handle before the reopen: the ingests own the
         // follower-side WAL writers for the very segments recovery is
         // about to read.
         drop(ingests);
-        drop(shards);
+        drop(db);
         let mut db = ShardedDb::open_with_vfs(vfs, &root, n, opts)?;
         db.begin_term(old_term + 1)?;
         Ok(db)
     }
 
     // ---- ingest (driven by the shipping protocol) -------------------------
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 
     /// Per-shard applied lsn — the resume point a (re)connecting follower
     /// sends its leader.
@@ -240,26 +189,7 @@ impl FollowerDb {
     pub fn ingest(&mut self, shard: usize, offset: u64, bytes: &[u8]) -> Result<usize> {
         let records = self.ingests[shard].ingest(offset, bytes)?;
         let n = records.len();
-        let mut ddl = false;
-        for (lsn, rec) in records {
-            // Group moves (import/evict) relocate objects between shards
-            // just like DDL creates them — both invalidate the routes.
-            ddl |= matches!(
-                rec,
-                WalRecord::Ddl(_) | WalRecord::GroupImport { .. } | WalRecord::GroupEvict(_)
-            );
-            self.shards[shard]
-                .apply_wal_record(rec)
-                .map_err(|e| ChronicleError::Corruption {
-                    detail: format!("shipped record lsn {lsn} does not apply: {e}"),
-                })?;
-        }
-        if ddl {
-            // DDL changes the name→shard maps; rebuild them the same way
-            // recovery does. Rare enough that eager rebuild beats tracking
-            // incremental effects across replicated shards.
-            self.routes = ShardedDb::rebuild_routes(&self.shards);
-        }
+        self.db.apply_shipped(shard, records)?;
         Ok(n)
     }
 
@@ -291,56 +221,9 @@ impl FollowerDb {
         )
     }
 
-    // ---- read-only serving ------------------------------------------------
-
-    /// All rows of a persistent view (ordered by group key).
-    pub fn query_view(&self, name: &str) -> Result<Vec<Tuple>> {
-        let target = self.routes.view_shard(name)?;
-        self.shards[target].query_view(name)
-    }
-
-    /// Point lookup in a persistent view.
-    pub fn query_view_key(&self, name: &str, key: &[Value]) -> Result<Option<Tuple>> {
-        let target = self.routes.view_shard(name)?;
-        self.shards[target].query_view_key(name, key)
-    }
-
-    /// `SELECT`-shaped read: rows of a view, relation, or chronicle
-    /// window, with equality filters — the follower side of
-    /// `ExecOutcome::Rows`.
-    pub fn select(
-        &self,
-        target: &str,
-        filters: &[(String, chronicle_sql::Literal)],
-    ) -> Result<Vec<Tuple>> {
-        let shard = self.routes.select_shard(target);
-        self.shards[shard].select_rows(target, filters)
-    }
-
-    /// Read access to one shard (experiments, digests).
-    pub fn shard(&self, i: usize) -> &ChronicleDb {
-        &self.shards[i]
-    }
-
-    /// Snapshot every persistent view across shards, sorted by name —
-    /// directly comparable with [`ShardedDb::snapshot_views`] on the
-    /// leader at the same applied lsns.
-    pub fn snapshot_views(&self) -> Vec<(String, Vec<u8>)> {
-        let mut all: Vec<(String, Vec<u8>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.snapshot_views())
-            .collect();
-        all.sort();
-        all
-    }
-
     /// Aggregated statistics plus the follower-side replication gauges.
     pub fn stats(&self) -> DbStats {
-        let mut total = DbStats::default();
-        for s in &self.shards {
-            total.absorb(s.stats());
-        }
+        let mut total = self.db.stats();
         total.net_shipped_bytes = self.ingests.iter().map(|i| i.bytes_received()).sum();
         total.follower_applied_lsn = self.ingests.iter().map(|i| i.applied()).max();
         total.replication_lag = self.replication_lag();
@@ -434,12 +317,12 @@ mod tests {
                 FollowerDb::open_with_vfs(Arc::clone(&fs), "/follower", shards, opts()).unwrap();
             ship_all(&leader, &mut f, 97);
             assert_eq!(
-                f.snapshot_views(),
+                f.db().snapshot_views(),
                 leader.snapshot_views(),
                 "{shards} shards"
             );
             assert_eq!(
-                f.query_view("totals").unwrap(),
+                f.db().query_view("totals").unwrap(),
                 leader.query_view("totals").unwrap()
             );
             assert_eq!(f.replication_lag(), Some(0));
@@ -472,7 +355,7 @@ mod tests {
         let mut f = FollowerDb::open_with_vfs(Arc::clone(&fs), "/f", 2, opts()).unwrap();
         assert_eq!(f.applied_lsns(), before, "recovery rebuilt the watermark");
         ship_all(&leader, &mut f, 64);
-        assert_eq!(f.snapshot_views(), leader.snapshot_views());
+        assert_eq!(f.db().snapshot_views(), leader.snapshot_views());
     }
 
     #[test]
@@ -497,13 +380,14 @@ mod tests {
         ship_all(&leader, &mut f, 128);
 
         assert_eq!(
-            f.query_view("balances").unwrap(),
+            f.db().query_view("balances").unwrap(),
             leader.query_view("balances").unwrap()
         );
-        let rows = f.select("balances", &[]).unwrap();
+        let rows = f.db().select("balances", &[]).unwrap();
         assert_eq!(rows, leader.query_view("balances").unwrap());
         // Equality-filtered select against a view row.
         let filtered = f
+            .db()
             .select(
                 "totals",
                 &[("caller".to_string(), chronicle_sql::Literal::Int(1))],
@@ -528,15 +412,15 @@ mod tests {
         leader.wal_flush().unwrap();
         ship_all(&leader, &mut f, 128);
 
-        assert_eq!(f.snapshot_views(), leader.snapshot_views());
+        assert_eq!(f.db().snapshot_views(), leader.snapshot_views());
         assert_eq!(
-            f.query_view("totals").unwrap(),
+            f.db().query_view("totals").unwrap(),
             leader.query_view("totals").unwrap()
         );
         // The follower's shard layout mirrors the leader's new placement:
         // exactly the target shard holds the group.
         let owners: Vec<usize> = (0..3)
-            .filter(|&i| f.shards[i].has_group("telecom"))
+            .filter(|&i| f.db().shard(i).has_group("telecom"))
             .collect();
         assert_eq!(owners, vec![target]);
     }
@@ -552,7 +436,7 @@ mod tests {
             let expected = leader.snapshot_views();
             drop(leader); // the old leader dies mid-reign
 
-            assert_eq!(f.term(), 0);
+            assert_eq!(f.db().term(), 0);
             let mut promoted = f.promote().unwrap();
             // Promotion preserved every view byte-for-byte and durably
             // adopted term 1 on every shard.
@@ -568,7 +452,7 @@ mod tests {
             // shipped record and fences anything older.
             let mut f2 = FollowerDb::open_with_vfs(Arc::clone(&fs), "/f2", shards, opts()).unwrap();
             ship_all(&promoted, &mut f2, 64);
-            assert_eq!(f2.term(), 1);
+            assert_eq!(f2.db().term(), 1);
             f2.check_leader_term(1).unwrap();
             f2.check_leader_term(2).unwrap();
             let err = f2.check_leader_term(0).unwrap_err();
@@ -614,7 +498,7 @@ mod tests {
         // same table and the same state.
         let mut f = FollowerDb::open_with_vfs(Arc::clone(&fs), "/f", 2, opts()).unwrap();
         ship_all(&leader, &mut f, 53);
-        assert_eq!(f.snapshot_views(), snap_after);
+        assert_eq!(f.db().snapshot_views(), snap_after);
         drop(leader);
 
         // After failover, the *same* retry against the promoted leader is

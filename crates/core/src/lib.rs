@@ -13,14 +13,15 @@
 //!   access, and hand-coded procedural summary fields (what the paper says
 //!   applications do today),
 //! * [`stats`] — append/maintenance accounting,
-//! * [`pipeline`] — a concurrent append pipeline (producers feed a
-//!   maintenance thread over `std::sync::mpsc` channels), used by the throughput
-//!   experiment E11,
 //! * [`shard`] — [`ShardedDb`]: the catalog hash-partitioned by chronicle
 //!   group into independent maintenance shards (Thm 4.1 makes groups the
 //!   natural unit), each with its own maintenance loop, WAL stream, and
-//!   checkpoints; [`pipeline::ShardedPipeline`] gives every shard its own
-//!   worker thread so group commits and maintenance overlap across shards.
+//!   checkpoints. A one-shard `ShardedDb` is the general case of the
+//!   engine: `ShardedDb::from(db)` wraps a [`ChronicleDb`] as it is,
+//! * [`pipeline`] — the concurrent append pipeline: producers feed one
+//!   maintenance thread per shard over `std::sync::mpsc` channels
+//!   ([`pipeline::ShardedPipeline`]), so group commits and maintenance
+//!   overlap across shards; experiment E11 drives its one-shard case.
 //!
 //! Databases opened at a path ([`ChronicleDb::open`]) are durable: every
 //! mutation is written to a segmented write-ahead log, and
@@ -29,14 +30,6 @@
 //! itself. See the `chronicle_durability` crate for the format.
 
 #![warn(missing_docs)]
-
-/// Test-only mutation backdoor for the verify.sh mutation checks: prove a
-/// gate notices when a protocol step is silently disabled (e.g. the
-/// salvage report dropped, or the heavy-light placement classifier turned
-/// off).
-pub(crate) fn mutate(which: &str) -> bool {
-    std::env::var("CHRONICLE_MUTATE").is_ok_and(|v| v == which)
-}
 
 pub mod baseline;
 mod db;

@@ -4,25 +4,25 @@
 //! arrive from many concurrent sources (switches, ATMs, ticker feeds), but
 //! sequence-number monotonicity makes the maintenance step per chronicle
 //! group inherently serial. The natural deployment is therefore a
-//! many-producer / one-maintainer pipeline: producers submit batches over a
-//! channel; a dedicated thread owns the [`ChronicleDb`], serializes the
-//! appends, and runs maintenance. This module implements exactly that with
-//! `std::sync::mpsc` bounded channels and is what experiment E11 drives.
+//! many-producer / one-maintainer-per-shard pipeline: producers submit
+//! work over bounded `std::sync::mpsc` channels; a dedicated thread per
+//! shard owns that shard's [`ChronicleDb`], serializes the appends, and
+//! runs maintenance. A single database runs the same pipeline with one
+//! worker: `ShardedPipeline::start(db.into(), capacity)`.
 //!
-//! When the database is durable, the worker runs in *group-commit* mode:
-//! it drains a burst of queued appends, applies them all with WAL records
-//! buffered, issues one shared flush, and only then acknowledges the
-//! producers. An acknowledged append has therefore always reached the log,
-//! and concurrent producers share the cost of a single flush (and a single
-//! fsync when enabled).
+//! When the database is durable, each worker runs in *group-commit* mode:
+//! it drains a burst of queued statements, applies them all with WAL
+//! records buffered, issues one shared flush, and only then acknowledges
+//! the producers. An acknowledged append has therefore always reached the
+//! log, and concurrent producers share the cost of a single flush (and a
+//! single fsync when enabled).
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
-use chronicle_durability::{SegmentInfo, SegmentRead};
 use chronicle_sql::parse;
-use chronicle_types::{Chronon, Result, Value};
+use chronicle_types::{ChronicleError, Chronon, Result, Tuple, Value};
 
 use crate::db::{AppendOutcome, ChronicleDb, ExecOutcome};
 use crate::shard::{RouteTarget, ShardRoutes, ShardedDb};
@@ -38,72 +38,21 @@ pub enum Admission {
     /// this retry hint — the wire server's policy, where blocking the
     /// session thread on one slow shard would stall every connection
     /// multiplexed behind it.
-    ///
-    /// [`ChronicleError::Overloaded`]: chronicle_types::ChronicleError::Overloaded
     Refuse {
         /// Suggested client-side delay before retrying, in milliseconds.
         retry_after_ms: u64,
     },
 }
 
-/// A request to append `rows` (SN-less) to `chronicle` at `at`.
-#[derive(Debug)]
-pub struct AppendRequest {
-    /// Target chronicle name.
-    pub chronicle: String,
-    /// Chronon stamp.
-    pub at: Chronon,
-    /// Rows without the sequencing attribute.
-    pub rows: Vec<Vec<Value>>,
-    /// Where to send the outcome; `None` for fire-and-forget.
-    pub reply: Option<SyncSender<Result<AppendOutcome>>>,
-}
-
-/// A WAL-shipping sub-request against one worker's database — the
-/// leader-side replication surface, exposed over the pipeline so a
-/// network server can ship segments while the workers keep appending.
-#[derive(Debug, Clone)]
-pub enum WalRequest {
-    /// The highest lsn guaranteed durable.
-    LastDurableLsn,
-    /// The live segment containing an lsn.
-    SegmentContaining(u64),
-    /// Raw segment bytes (only flushed bytes of the active segment).
-    ReadSegment {
-        /// First lsn of the segment (its identity).
-        first_lsn: u64,
-        /// Byte offset to read from.
-        offset: u64,
-        /// At most this many bytes.
-        max: usize,
-    },
-    /// Pin WAL truncation below `lsn` (followers still need the history).
-    SetRetainFloor(u64),
-}
-
-/// Answer to a [`WalRequest`], variant-matched to the request kind.
-#[derive(Debug, Clone)]
-pub enum WalResponse {
-    /// Answer to [`WalRequest::LastDurableLsn`].
-    Lsn(u64),
-    /// Answer to [`WalRequest::SegmentContaining`].
-    Segment(Option<SegmentInfo>),
-    /// Answer to [`WalRequest::ReadSegment`].
-    Bytes(SegmentRead),
-    /// Answer to [`WalRequest::SetRetainFloor`].
-    Done,
-}
-
-/// A request processed by the maintenance thread.
-#[derive(Debug)]
+/// A request processed by a shard's maintenance thread.
 enum Request {
-    Append(AppendRequest),
-    /// Point query against a view, answered in-order with the appends —
-    /// the reader sees the state as of every append submitted before it.
-    Query {
-        view: String,
-        key: Vec<Value>,
-        reply: SyncSender<Result<Option<chronicle_types::Tuple>>>,
+    /// Append `rows` (SN-less) to `chronicle` at `at`.
+    Append {
+        chronicle: String,
+        at: Chronon,
+        rows: Vec<Vec<Value>>,
+        /// Where to send the outcome; `None` for fire-and-forget.
+        reply: Option<SyncSender<Result<AppendOutcome>>>,
     },
     /// A full SQL statement executed on this worker's database. Like an
     /// append it may log WAL records, so it is acknowledged only after
@@ -116,22 +65,13 @@ enum Request {
         stamp: Option<(u64, u64)>,
         reply: SyncSender<Result<ExecOutcome>>,
     },
-    /// Current leadership term of this worker's database, answered
-    /// immediately (the fencing comparison point for wire requests).
-    Term {
-        reply: SyncSender<u64>,
-    },
-    /// Stats snapshot of this worker's database, answered immediately.
-    Stats {
-        reply: SyncSender<DbStats>,
-    },
-    /// WAL shipping sub-request, answered immediately: reads expose only
-    /// flushed bytes, so a mid-burst answer can never leak an
-    /// unacknowledged record.
-    Wal {
-        req: WalRequest,
-        reply: SyncSender<Result<WalResponse>>,
-    },
+    /// Everything that is not a statement (point queries, term, stats,
+    /// the WAL shipping surface): a closure run against this worker's
+    /// database in queue order and answered at once, between statements —
+    /// it sees every statement submitted before it, applied but not
+    /// necessarily yet flushed. WAL reads expose only flushed bytes, so a
+    /// mid-burst answer can never leak an unacknowledged record.
+    With(Box<dyn FnOnce(&mut ChronicleDb) + Send>),
     /// Stop the worker after draining everything submitted before this
     /// message. Requests queued after it are answered with an error when
     /// the channel closes.
@@ -150,14 +90,14 @@ enum Pending {
 impl Pending {
     /// Rewrite a success into a durability error (the shared flush failed,
     /// so nothing in this burst actually reached the log).
-    fn fail_if_ok(&mut self, e: &chronicle_types::ChronicleError) {
+    fn fail_if_ok(&mut self, e: &ChronicleError) {
         let detail = format!("group-commit flush failed: {e}");
         match self {
             Pending::Append(o, _) if o.is_ok() => {
-                *o = Err(chronicle_types::ChronicleError::Durability { detail });
+                *o = Err(ChronicleError::Durability { detail });
             }
             Pending::Exec(o, _) if o.is_ok() => {
-                *o = Err(chronicle_types::ChronicleError::Durability { detail });
+                *o = Err(ChronicleError::Durability { detail });
             }
             _ => {}
         }
@@ -178,179 +118,30 @@ impl Pending {
     }
 }
 
-/// Handle to a running pipeline. Cloneable; each clone is an independent
-/// producer.
-#[derive(Clone)]
-pub struct PipelineHandle {
+fn shut_down() -> ChronicleError {
+    ChronicleError::Internal("pipeline has shut down".into())
+}
+
+fn reply_dropped() -> ChronicleError {
+    ChronicleError::Internal("pipeline dropped the reply".into())
+}
+
+/// One shard's maintenance thread and the channel feeding it.
+struct Worker {
     tx: SyncSender<Request>,
+    thread: JoinHandle<ChronicleDb>,
 }
 
-impl PipelineHandle {
-    /// Submit an append and wait for its outcome.
-    pub fn append(
-        &self,
-        chronicle: &str,
-        at: Chronon,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<AppendOutcome> {
-        let (rtx, rrx) = sync_channel(1);
-        self.tx
-            .send(Request::Append(AppendRequest {
-                chronicle: chronicle.to_string(),
-                at,
-                rows,
-                reply: Some(rtx),
-            }))
-            .map_err(|_| {
-                chronicle_types::ChronicleError::Internal("pipeline has shut down".into())
-            })?;
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })?
-    }
-
-    /// Point query against a view, serialized with the appends: the answer
-    /// reflects every append submitted on this handle before the query.
-    pub fn query(&self, view: &str, key: Vec<Value>) -> Result<Option<chronicle_types::Tuple>> {
-        let (rtx, rrx) = sync_channel(1);
-        self.tx
-            .send(Request::Query {
-                view: view.to_string(),
-                key,
-                reply: rtx,
-            })
-            .map_err(|_| {
-                chronicle_types::ChronicleError::Internal("pipeline has shut down".into())
-            })?;
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })?
-    }
-
-    /// Submit an append without waiting (maximum throughput mode).
-    pub fn append_nowait(&self, chronicle: &str, at: Chronon, rows: Vec<Vec<Value>>) -> Result<()> {
-        self.tx
-            .send(Request::Append(AppendRequest {
-                chronicle: chronicle.to_string(),
-                at,
-                rows,
-                reply: None,
-            }))
-            .map_err(|_| chronicle_types::ChronicleError::Internal("pipeline has shut down".into()))
-    }
-
-    /// Execute one SQL statement on the worker's database, serialized with
-    /// the appends and acknowledged after the burst's shared flush.
-    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_request(sql, None, Admission::Block)
-    }
-
-    /// [`PipelineHandle::execute`] with an idempotent-session stamp and an
-    /// explicit admission policy. Under [`Admission::Refuse`] a full
-    /// channel yields a typed [`ChronicleError::Overloaded`] immediately
-    /// instead of blocking the caller behind the backlog — the server's
-    /// bounded-admission path.
-    pub fn execute_stamped(
-        &self,
-        sql: &str,
-        session: u64,
-        seq: u64,
-        admit: Admission,
-    ) -> Result<ExecOutcome> {
-        self.execute_request(sql, Some((session, seq)), admit)
-    }
-
-    fn execute_request(
-        &self,
-        sql: &str,
-        stamp: Option<(u64, u64)>,
-        admit: Admission,
-    ) -> Result<ExecOutcome> {
-        let (rtx, rrx) = sync_channel(1);
-        let req = Request::Exec {
-            sql: sql.to_string(),
-            stamp,
-            reply: rtx,
-        };
-        let shut_down =
-            || chronicle_types::ChronicleError::Internal("pipeline has shut down".into());
-        match admit {
-            Admission::Block => self.tx.send(req).map_err(|_| shut_down())?,
-            Admission::Refuse { retry_after_ms } => match self.tx.try_send(req) {
-                Ok(()) => {}
-                Err(std::sync::mpsc::TrySendError::Full(_)) => {
-                    return Err(chronicle_types::ChronicleError::Overloaded { retry_after_ms });
-                }
-                Err(std::sync::mpsc::TrySendError::Disconnected(_)) => return Err(shut_down()),
-            },
-        }
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })?
-    }
-
-    /// Current leadership term of the worker's database.
-    pub fn term(&self) -> Result<u64> {
-        let (rtx, rrx) = sync_channel(1);
-        self.tx.send(Request::Term { reply: rtx }).map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline has shut down".into())
-        })?;
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })
-    }
-
-    /// A snapshot of the worker database's statistics.
-    pub fn stats(&self) -> Result<DbStats> {
-        let (rtx, rrx) = sync_channel(1);
-        self.tx.send(Request::Stats { reply: rtx }).map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline has shut down".into())
-        })?;
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })
-    }
-
-    /// Issue one WAL-shipping sub-request against the worker's database.
-    pub fn wal(&self, req: WalRequest) -> Result<WalResponse> {
-        let (rtx, rrx) = sync_channel(1);
-        self.tx
-            .send(Request::Wal { req, reply: rtx })
-            .map_err(|_| {
-                chronicle_types::ChronicleError::Internal("pipeline has shut down".into())
-            })?;
-        rrx.recv().map_err(|_| {
-            chronicle_types::ChronicleError::Internal("pipeline dropped the reply".into())
-        })?
-    }
-}
-
-/// The running pipeline: owns the maintenance thread.
-pub struct Pipeline {
-    handle: PipelineHandle,
-    worker: Option<JoinHandle<ChronicleDb>>,
-    /// Dropping all producer handles shuts the worker down; keep the
-    /// original sender here so shutdown is explicit.
-    _keepalive: Mutex<Option<SyncSender<Request>>>,
-}
-
-impl Pipeline {
-    /// Start a pipeline over `db` with the given channel capacity
-    /// (backpressure bound). The group-commit window defaults to the
-    /// capacity; see [`Pipeline::start_with_window`] to set it separately.
-    pub fn start(db: ChronicleDb, capacity: usize) -> Pipeline {
-        Pipeline::start_with_window(db, capacity, capacity)
-    }
-
-    /// Start a pipeline with an explicit group-commit `window`: at most
-    /// that many appends share one WAL flush, so a saturated queue cannot
-    /// defer acknowledgement (or, with `fsync` on, durability) beyond the
-    /// window, while a deeper channel keeps producers unblocked across a
-    /// flush stall.
-    pub fn start_with_window(mut db: ChronicleDb, capacity: usize, window: usize) -> Pipeline {
+impl Worker {
+    /// Spawn the maintenance thread for `db`. `capacity` is both the
+    /// channel's backpressure bound and the group-commit window: at most
+    /// that many statements share one WAL flush, so a saturated queue
+    /// cannot defer acknowledgement (or, with `fsync` on, durability)
+    /// beyond one channel's worth of work.
+    fn spawn(mut db: ChronicleDb, capacity: usize) -> Worker {
         let (tx, rx): (SyncSender<Request>, Receiver<Request>) = sync_channel(capacity);
-        let worker = std::thread::spawn(move || {
-            let burst = window.max(1);
+        let thread = std::thread::spawn(move || {
+            let burst = capacity.max(1);
             // Buffer WAL records across a burst; durability happens at the
             // shared flush below, before any producer is acknowledged.
             db.set_wal_buffered(true);
@@ -362,58 +153,27 @@ impl Pipeline {
                 let mut next = Some(first);
                 while let Some(req) = next.take() {
                     match req {
-                        Request::Append(req) => {
-                            let outcome = db.append(&req.chronicle, req.at, &req.rows);
-                            pending.push(Pending::Append(outcome, req.reply));
+                        Request::Append {
+                            chronicle,
+                            at,
+                            rows,
+                            reply,
+                        } => {
+                            let outcome = db.append(&chronicle, at, &rows);
+                            pending.push(Pending::Append(outcome, reply));
                             if pending.len() < burst {
                                 next = rx.try_recv().ok();
                             }
                         }
                         Request::Exec { sql, stamp, reply } => {
-                            let outcome = match stamp {
-                                Some((session, seq)) => db.execute_stamped(&sql, session, seq),
-                                None => db.execute(&sql),
-                            };
+                            let outcome = db.execute_with(&sql, stamp);
                             pending.push(Pending::Exec(outcome, reply));
                             if pending.len() < burst {
                                 next = rx.try_recv().ok();
                             }
                         }
-                        Request::Term { reply } => {
-                            let _ = reply.send(db.term());
-                            next = rx.try_recv().ok();
-                        }
-                        Request::Query { view, key, reply } => {
-                            // Queries stay serialized with the appends; they
-                            // read applied (not necessarily yet durable)
-                            // state, matching the single-threaded API.
-                            let _ = reply.send(db.query_view_key(&view, &key));
-                            next = rx.try_recv().ok();
-                        }
-                        Request::Stats { reply } => {
-                            let _ = reply.send(db.stats().clone());
-                            next = rx.try_recv().ok();
-                        }
-                        Request::Wal { req, reply } => {
-                            let resp = match req {
-                                WalRequest::LastDurableLsn => {
-                                    db.wal_last_durable_lsn().map(WalResponse::Lsn)
-                                }
-                                WalRequest::SegmentContaining(lsn) => {
-                                    db.wal_segment_containing(lsn).map(WalResponse::Segment)
-                                }
-                                WalRequest::ReadSegment {
-                                    first_lsn,
-                                    offset,
-                                    max,
-                                } => db
-                                    .wal_read_segment(first_lsn, offset, max)
-                                    .map(WalResponse::Bytes),
-                                WalRequest::SetRetainFloor(lsn) => {
-                                    db.set_wal_retain_floor(lsn).map(|_| WalResponse::Done)
-                                }
-                            };
-                            let _ = reply.send(resp);
+                        Request::With(job) => {
+                            job(&mut db);
                             next = rx.try_recv().ok();
                         }
                         Request::Shutdown => shutdown = true,
@@ -438,45 +198,18 @@ impl Pipeline {
             db.set_wal_buffered(false);
             db
         });
-        Pipeline {
-            handle: PipelineHandle { tx: tx.clone() },
-            worker: Some(worker),
-            _keepalive: Mutex::new(Some(tx)),
-        }
-    }
-
-    /// A producer handle.
-    pub fn handle(&self) -> PipelineHandle {
-        self.handle.clone()
-    }
-
-    /// Shut down: drain every request submitted before this call, stop the
-    /// worker, and return the database. Outstanding producer handles stay
-    /// valid objects but all their sends fail from this point on.
-    pub fn shutdown(mut self) -> ChronicleDb {
-        // A Shutdown marker drains in FIFO order behind all earlier work;
-        // the worker exits when it sees it, dropping the receiver, which
-        // fails any later sends instead of blocking them.
-        let _ = self.handle.tx.send(Request::Shutdown);
-        *self._keepalive.lock().expect("keepalive lock") = None;
-        let (dead_tx, _) = sync_channel(0);
-        self.handle = PipelineHandle { tx: dead_tx };
-        self.worker
-            .take()
-            .expect("worker present until shutdown")
-            .join()
-            .expect("maintenance thread panicked")
+        Worker { tx, thread }
     }
 }
 
 /// Handle to a running [`ShardedPipeline`]: a routing front-end over one
-/// [`PipelineHandle`] per shard. Cloneable; each clone is an independent
+/// worker channel per shard. Cloneable; each clone is an independent
 /// producer. Appends hash-route to the shard owning the target chronicle's
 /// group, so two producers appending to different groups never contend on
 /// the same channel or maintainer.
 #[derive(Clone)]
 pub struct ShardedPipelineHandle {
-    handles: Vec<PipelineHandle>,
+    workers: Vec<SyncSender<Request>>,
     /// Shared, mutable routing table: SQL DDL submitted through
     /// [`ShardedPipelineHandle::execute`] updates it under the write
     /// lock, while appends and queries take cheap read locks.
@@ -494,7 +227,7 @@ impl ShardedPipelineHandle {
 
     /// Number of shards behind this handle.
     pub fn shard_count(&self) -> usize {
-        self.handles.len()
+        self.workers.len()
     }
 
     /// Submit an append to the owning shard and wait for its outcome
@@ -505,22 +238,64 @@ impl ShardedPipelineHandle {
         at: Chronon,
         rows: Vec<Vec<Value>>,
     ) -> Result<AppendOutcome> {
-        let s = self.shard_of(chronicle)?;
-        self.handles[s].append(chronicle, at, rows)
+        let (rtx, rrx) = sync_channel(1);
+        self.submit_append(chronicle, at, rows, Some(rtx))?;
+        rrx.recv().map_err(|_| reply_dropped())?
     }
 
-    /// Submit an append to the owning shard without waiting.
+    /// Submit an append to the owning shard without waiting (maximum
+    /// throughput mode).
     pub fn append_nowait(&self, chronicle: &str, at: Chronon, rows: Vec<Vec<Value>>) -> Result<()> {
+        self.submit_append(chronicle, at, rows, None)
+    }
+
+    fn submit_append(
+        &self,
+        chronicle: &str,
+        at: Chronon,
+        rows: Vec<Vec<Value>>,
+        reply: Option<SyncSender<Result<AppendOutcome>>>,
+    ) -> Result<()> {
         let s = self.shard_of(chronicle)?;
-        self.handles[s].append_nowait(chronicle, at, rows)
+        self.workers[s]
+            .send(Request::Append {
+                chronicle: chronicle.to_string(),
+                at,
+                rows,
+                reply,
+            })
+            .map_err(|_| shut_down())
+    }
+
+    /// Run `f` against shard `shard`'s database on its worker thread and
+    /// return what it returned. The closure is queued like any request —
+    /// it observes every statement submitted to that shard before it — and
+    /// runs between statements, not inside the group commit: use it for
+    /// reads and WAL control (`wal_*`, `set_wal_retain_floor`), never to
+    /// append or execute, whose acknowledgement must wait for the flush.
+    ///
+    /// Panics if `shard >= shard_count()`.
+    pub fn with_shard<R: Send + 'static>(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&mut ChronicleDb) -> R + Send + 'static,
+    ) -> Result<R> {
+        let (rtx, rrx) = sync_channel(1);
+        self.workers[shard]
+            .send(Request::With(Box::new(move |db| {
+                let _ = rtx.send(f(db));
+            })))
+            .map_err(|_| shut_down())?;
+        rrx.recv().map_err(|_| reply_dropped())
     }
 
     /// Point query against a view, serialized with the owning shard's
     /// appends: the answer reflects every append to that shard submitted
     /// on this handle before the query.
-    pub fn query(&self, view: &str, key: Vec<Value>) -> Result<Option<chronicle_types::Tuple>> {
+    pub fn query(&self, view: &str, key: Vec<Value>) -> Result<Option<Tuple>> {
         let s = self.routes.read().expect("routes lock").view_shard(view)?;
-        self.handles[s].query(view, key)
+        let view = view.to_string();
+        self.with_shard(s, move |db| db.query_view_key(&view, &key))?
     }
 
     /// Parse and execute one SQL statement through the shard workers —
@@ -535,27 +310,20 @@ impl ShardedPipelineHandle {
     /// different orders on different shards and silently diverge the
     /// relation replicas.
     pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_routed(sql, None, Admission::Block)
+        self.execute_stamped(sql, None, Admission::Block)
     }
 
-    /// [`ShardedPipelineHandle::execute`] with an idempotent-session stamp
-    /// and an admission policy. Routing is a pure function of the SQL and
-    /// the catalog, so a byte-identical retry reaches the same shard(s)
-    /// and dedupes there (see [`ShardedDb::execute_stamped`]). The
+    /// [`ShardedPipelineHandle::execute`] with an optional
+    /// idempotent-session `(session, seq)` stamp and an admission policy.
+    /// Routing is a pure function of the SQL and the catalog, so a
+    /// byte-identical retry reaches the same shard(s) and dedupes there
+    /// (see [`ShardedDb::execute_stamped`]). Under [`Admission::Refuse`] a
+    /// full channel yields a typed [`ChronicleError::Overloaded`]
+    /// immediately instead of blocking the caller behind the backlog. The
     /// admission policy applies to the single-shard fast path; broadcasts
     /// (DDL, relation DML — rare and already serialized by the write
     /// lock) always block, so a half-admitted broadcast cannot happen.
     pub fn execute_stamped(
-        &self,
-        sql: &str,
-        session: u64,
-        seq: u64,
-        admit: Admission,
-    ) -> Result<ExecOutcome> {
-        self.execute_routed(sql, Some((session, seq)), admit)
-    }
-
-    fn execute_routed(
         &self,
         sql: &str,
         stamp: Option<(u64, u64)>,
@@ -569,23 +337,19 @@ impl ShardedPipelineHandle {
                 _ => None,
             }
         };
-        let run = |h: &PipelineHandle, admit: Admission| match stamp {
-            Some((session, seq)) => h.execute_stamped(sql, session, seq, admit),
-            None => h.execute_request(sql, None, admit),
-        };
         if let Some(i) = single {
-            return run(&self.handles[i], admit);
+            return self.exec_on(i, sql, stamp, admit);
         }
         let mut routes = self.routes.write().expect("routes lock");
         // Re-plan under the exclusive lock: another DDL may have slipped
         // in between the read probe and here.
         let (target, effect) = routes.plan(&stmt)?;
         let out = match target {
-            RouteTarget::One(i) => run(&self.handles[i], admit)?,
+            RouteTarget::One(i) => self.exec_on(i, sql, stamp, admit)?,
             RouteTarget::All => {
                 let mut last = None;
-                for h in &self.handles {
-                    last = Some(run(h, Admission::Block)?);
+                for i in 0..self.workers.len() {
+                    last = Some(self.exec_on(i, sql, stamp, Admission::Block)?);
                 }
                 last.expect("at least one shard")
             }
@@ -596,11 +360,40 @@ impl ShardedPipelineHandle {
         Ok(out)
     }
 
+    /// Submit one statement to shard `shard`'s worker and wait for its
+    /// post-flush acknowledgement.
+    fn exec_on(
+        &self,
+        shard: usize,
+        sql: &str,
+        stamp: Option<(u64, u64)>,
+        admit: Admission,
+    ) -> Result<ExecOutcome> {
+        let (rtx, rrx) = sync_channel(1);
+        let req = Request::Exec {
+            sql: sql.to_string(),
+            stamp,
+            reply: rtx,
+        };
+        let tx = &self.workers[shard];
+        match admit {
+            Admission::Block => tx.send(req).map_err(|_| shut_down())?,
+            Admission::Refuse { retry_after_ms } => match tx.try_send(req) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => {
+                    return Err(ChronicleError::Overloaded { retry_after_ms });
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(shut_down()),
+            },
+        }
+        rrx.recv().map_err(|_| reply_dropped())?
+    }
+
     /// Current leadership term: the max over every shard worker.
     pub fn term(&self) -> Result<u64> {
         let mut t = 0;
-        for h in &self.handles {
-            t = t.max(h.term()?);
+        for shard in 0..self.workers.len() {
+            t = t.max(self.with_shard(shard, |db| db.term())?);
         }
         Ok(t)
     }
@@ -609,25 +402,20 @@ impl ShardedPipelineHandle {
     /// [`ShardedDb::stats`] for the merge semantics).
     pub fn stats(&self) -> Result<DbStats> {
         let mut total = DbStats::default();
-        for h in &self.handles {
-            total.absorb(&h.stats()?);
+        for shard in 0..self.workers.len() {
+            total.absorb(&self.with_shard(shard, |db| db.stats().clone())?);
         }
         Ok(total)
     }
-
-    /// Issue one WAL-shipping sub-request against shard `shard`.
-    pub fn wal(&self, shard: usize, req: WalRequest) -> Result<WalResponse> {
-        self.handles[shard].wal(req)
-    }
 }
 
-/// A [`Pipeline`] per shard: each shard's maintenance loop, group commit,
-/// and WAL stream run on their own worker thread, so one shard's fsync
+/// One maintenance worker per shard: each shard's maintenance loop, group
+/// commit, and WAL stream run on their own thread, so one shard's fsync
 /// stall overlaps with another's maintenance. Producers route through
-/// [`ShardedPipelineHandle`]. DDL is not available here — define the
-/// catalog on the [`ShardedDb`] before starting the pipeline.
+/// [`ShardedPipelineHandle`], which offers the whole statement surface —
+/// DDL included, serialized under the routing table's write lock.
 pub struct ShardedPipeline {
-    workers: Vec<Pipeline>,
+    workers: Vec<Worker>,
     routes: Arc<RwLock<ShardRoutes>>,
     manifest_salvaged: bool,
 }
@@ -637,18 +425,11 @@ impl ShardedPipeline {
     /// `capacity` (the per-shard backpressure bound and group-commit burst
     /// ceiling).
     pub fn start(db: ShardedDb, capacity: usize) -> ShardedPipeline {
-        ShardedPipeline::start_with_window(db, capacity, capacity)
-    }
-
-    /// Like [`ShardedPipeline::start`], but with the per-shard group-commit
-    /// window set separately from the channel capacity (see
-    /// [`Pipeline::start_with_window`]).
-    pub fn start_with_window(db: ShardedDb, capacity: usize, window: usize) -> ShardedPipeline {
         let (shards, routes, manifest_salvaged) = db.into_parts();
         ShardedPipeline {
             workers: shards
                 .into_iter()
-                .map(|s| Pipeline::start_with_window(s, capacity, window))
+                .map(|s| Worker::spawn(s, capacity))
                 .collect(),
             routes: Arc::new(RwLock::new(routes)),
             manifest_salvaged,
@@ -658,23 +439,29 @@ impl ShardedPipeline {
     /// A producer handle (routing front-end over all shards).
     pub fn handle(&self) -> ShardedPipelineHandle {
         ShardedPipelineHandle {
-            handles: self.workers.iter().map(Pipeline::handle).collect(),
+            workers: self.workers.iter().map(|w| w.tx.clone()).collect(),
             routes: Arc::clone(&self.routes),
         }
     }
 
-    /// Shut down every shard worker (each drains its queue first) and
-    /// reassemble the database.
+    /// Shut down: every worker drains the requests submitted before this
+    /// call, then stops; the database is reassembled from the shards.
+    /// Outstanding producer handles stay valid objects but all their sends
+    /// fail from this point on.
     pub fn shutdown(self) -> ShardedDb {
-        // Post every worker its shutdown marker up front so all shards
-        // drain concurrently; the per-pipeline shutdown below then sends a
-        // redundant marker (harmlessly ignored once the worker is gone)
-        // and joins.
+        // A Shutdown marker drains in FIFO order behind all earlier work;
+        // the worker exits when it sees it, dropping the receiver, which
+        // fails any later sends instead of blocking them. Post every
+        // marker up front so all shards drain concurrently.
         for w in &self.workers {
-            let _ = w.handle.tx.send(Request::Shutdown);
+            let _ = w.tx.send(Request::Shutdown);
         }
         let routes = self.routes.read().expect("routes lock").clone();
-        let shards = self.workers.into_iter().map(Pipeline::shutdown).collect();
+        let shards = self
+            .workers
+            .into_iter()
+            .map(|w| w.thread.join().expect("maintenance thread panicked"))
+            .collect();
         ShardedDb::from_parts(shards, routes, self.manifest_salvaged)
     }
 }
@@ -697,7 +484,7 @@ mod tests {
 
     #[test]
     fn single_producer_round_trip() {
-        let p = Pipeline::start(db(), 16);
+        let p = ShardedPipeline::start(db().into(), 16);
         let h = p.handle();
         let out = h
             .append(
@@ -719,7 +506,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_serialize_correctly() {
-        let p = Pipeline::start(db(), 64);
+        let p = ShardedPipeline::start(db().into(), 64);
         let mut joins = Vec::new();
         for t in 0..4i64 {
             let h = p.handle();
@@ -756,7 +543,7 @@ mod tests {
 
     #[test]
     fn nowait_appends_drain_on_shutdown() {
-        let p = Pipeline::start(db(), 256);
+        let p = ShardedPipeline::start(db().into(), 256);
         let h = p.handle();
         for i in 0..100i64 {
             h.append_nowait(
@@ -859,13 +646,16 @@ mod tests {
         // A handle over a full channel that nothing drains: Block would
         // wait forever, Refuse must return the typed error immediately.
         let (tx, rx) = sync_channel(1);
-        let h = PipelineHandle { tx };
-        h.tx.send(Request::Shutdown).unwrap(); // fill the only slot
+        tx.send(Request::Shutdown).unwrap(); // fill the only slot
+        let (_, routes, _) = ShardedDb::from(db()).into_parts();
+        let h = ShardedPipelineHandle {
+            workers: vec![tx],
+            routes: Arc::new(RwLock::new(routes)),
+        };
         let err = h
             .execute_stamped(
                 "APPEND INTO txns VALUES (1, 1.0)",
-                7,
-                1,
+                Some((7, 1)),
                 Admission::Refuse { retry_after_ms: 25 },
             )
             .unwrap_err();
@@ -881,8 +671,7 @@ mod tests {
         let err = h
             .execute_stamped(
                 "APPEND INTO txns VALUES (1, 1.0)",
-                7,
-                2,
+                Some((7, 2)),
                 Admission::Refuse { retry_after_ms: 25 },
             )
             .unwrap_err();
@@ -897,22 +686,34 @@ mod tests {
         let p = ShardedPipeline::start(sharded_db(2), 16);
         let h = p.handle();
         let out = h
-            .execute_stamped("APPEND INTO c1 VALUES (7, 5.0)", 42, 1, Admission::Block)
+            .execute_stamped(
+                "APPEND INTO c1 VALUES (7, 5.0)",
+                Some((42, 1)),
+                Admission::Block,
+            )
             .unwrap();
         let ExecOutcome::Appended(a) = out else {
             panic!("append expected");
         };
         // A retry with the same stamp answers from cache...
         let retry = h
-            .execute_stamped("APPEND INTO c1 VALUES (7, 5.0)", 42, 1, Admission::Block)
+            .execute_stamped(
+                "APPEND INTO c1 VALUES (7, 5.0)",
+                Some((42, 1)),
+                Admission::Block,
+            )
             .unwrap();
         let ExecOutcome::Appended(b) = retry else {
             panic!("append expected");
         };
         assert_eq!(a.seq, b.seq);
         // ...and the next seq applies fresh work.
-        h.execute_stamped("APPEND INTO c1 VALUES (7, 3.0)", 42, 2, Admission::Block)
-            .unwrap();
+        h.execute_stamped(
+            "APPEND INTO c1 VALUES (7, 3.0)",
+            Some((42, 2)),
+            Admission::Block,
+        )
+        .unwrap();
         assert_eq!(h.term().unwrap(), 0);
         let db = p.shutdown();
         assert_eq!(db.stats().appends, 2, "the retry must not re-apply");
@@ -928,7 +729,7 @@ mod tests {
 
     #[test]
     fn bad_append_reports_error_not_poison() {
-        let p = Pipeline::start(db(), 16);
+        let p = ShardedPipeline::start(db().into(), 16);
         let h = p.handle();
         let err = h.append("ghost", Chronon(0), vec![vec![Value::Int(1)]]);
         assert!(err.is_err());

@@ -25,8 +25,13 @@
 //!   semantics. Replicas stay identical because every shard applies the
 //!   same DML in the same order;
 //! * **DDL** is serialized through the facade (`&mut self` — exclusive
-//!   access is the catalog lock) and is *not* available through the
-//!   concurrent pipeline.
+//!   access is the catalog lock); the concurrent pipeline serializes it
+//!   the same way under its routing table's write lock.
+//!
+//! A one-shard `ShardedDb` is the general case of the engine, not a second
+//! one: `ShardedDb::from(db)` wraps an existing [`ChronicleDb`] (disk
+//! layout untouched) so pipelines, servers and drivers hold one type for
+//! either topology.
 //!
 //! Durable layout: `path/SHARDS` (the
 //! [`chronicle_durability::ShardManifest`]) plus one full database
@@ -40,11 +45,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use chronicle_durability::{
-    DurabilityOptions, RecoveryPolicy, SalvageReport, ScrubReport, ShardManifest,
+    DurabilityOptions, RecoveryPolicy, SalvageReport, ScrubReport, ShardManifest, WalRecord,
 };
 use chronicle_simkit::{RealFs, Vfs};
 use chronicle_sql::{parse, Statement};
-use chronicle_types::{ChronicleError, Chronon, Result, Tuple, Value};
+use chronicle_types::{mutate, ChronicleError, Chronon, Result, Tuple, Value};
 
 use crate::db::{AppendOutcome, ChronicleDb, ExecOutcome};
 use crate::stats::{DbStats, GroupRates};
@@ -351,8 +356,7 @@ pub struct PlannedMove {
 }
 
 /// A chronicle database hash-partitioned into independent maintenance
-/// shards. See the module docs for the placement rules; the API mirrors
-/// the [`ChronicleDb`] surface the single-shard facade offers.
+/// shards. See the module docs for the placement rules.
 #[derive(Debug)]
 pub struct ShardedDb {
     shards: Vec<ChronicleDb>,
@@ -410,12 +414,57 @@ impl ShardedDb {
         shards: usize,
         opts: DurabilityOptions,
     ) -> Result<ShardedDb> {
+        let root = path.as_ref();
+        let manifest_salvaged = Self::open_root(vfs.as_ref(), root, shards, opts)?;
+        let recovered: Vec<Result<ChronicleDb>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..shards)
+                .map(|i| {
+                    let dir = ShardManifest::shard_dir(root, i);
+                    let vfs = Arc::clone(&vfs);
+                    s.spawn(move || ChronicleDb::open_with_vfs(vfs, dir, opts))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard recovery thread panicked"))
+                .collect()
+        });
+        let mut dbs = Vec::with_capacity(shards);
+        for (i, r) in recovered.into_iter().enumerate() {
+            dbs.push(r.map_err(|e| ChronicleError::Durability {
+                detail: format!("recovering shard {i}: {e}"),
+            })?);
+        }
+        Self::reconcile_placement(&mut dbs)?;
+        Ok(Self::from_shards(dbs, manifest_salvaged))
+    }
+
+    /// Assemble a database over already-open shards, deriving the routes
+    /// from their catalogs.
+    pub(crate) fn from_shards(shards: Vec<ChronicleDb>, manifest_salvaged: bool) -> ShardedDb {
+        let routes = Self::rebuild_routes(&shards);
+        ShardedDb {
+            shards,
+            routes,
+            manifest_salvaged,
+        }
+    }
+
+    /// Prepare the root of a sharded layout: create the directory and
+    /// validate — or, when absent, write — the `SHARDS` manifest. Leader
+    /// and follower opens share this one manifest discipline. Returns true
+    /// when a salvage open quarantined a corrupt manifest and rewrote it.
+    pub(crate) fn open_root(
+        vfs: &dyn Vfs,
+        root: &Path,
+        shards: usize,
+        opts: DurabilityOptions,
+    ) -> Result<bool> {
         if shards == 0 {
             return Err(ChronicleError::Internal(
                 "a sharded database needs at least one shard".into(),
             ));
         }
-        let root = path.as_ref();
         vfs.create_dir_all(root)
             .map_err(|e| ChronicleError::Durability {
                 detail: format!("creating database directory {}: {e}", root.display()),
@@ -429,9 +478,9 @@ impl ShardedDb {
         // disagrees with `shards` stays loud under every policy: that is an
         // operator error, not rot.
         let mut manifest_salvaged = false;
-        let loaded = match ShardManifest::load_with_vfs(vfs.as_ref(), root) {
+        let loaded = match ShardManifest::load_with_vfs(vfs, root) {
             Err(ChronicleError::Corruption { .. }) if opts.recovery == RecoveryPolicy::Salvage => {
-                ShardManifest::quarantine_with_vfs(vfs.as_ref(), root, opts.fsync)?;
+                ShardManifest::quarantine_with_vfs(vfs, root, opts.fsync)?;
                 manifest_salvaged = true;
                 None
             }
@@ -453,34 +502,9 @@ impl ShardedDb {
             None => ShardManifest {
                 shards: shards as u32,
             }
-            .write_with_vfs(vfs.as_ref(), root, opts.fsync)?,
+            .write_with_vfs(vfs, root, opts.fsync)?,
         }
-        let recovered: Vec<Result<ChronicleDb>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|i| {
-                    let dir = ShardManifest::shard_dir(root, i);
-                    let vfs = Arc::clone(&vfs);
-                    s.spawn(move || ChronicleDb::open_with_vfs(vfs, dir, opts))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard recovery thread panicked"))
-                .collect()
-        });
-        let mut dbs = Vec::with_capacity(shards);
-        for (i, r) in recovered.into_iter().enumerate() {
-            dbs.push(r.map_err(|e| ChronicleError::Durability {
-                detail: format!("recovering shard {i}: {e}"),
-            })?);
-        }
-        Self::reconcile_placement(&mut dbs)?;
-        let routes = Self::rebuild_routes(&dbs);
-        Ok(ShardedDb {
-            shards: dbs,
-            routes,
-            manifest_salvaged,
-        })
+        Ok(manifest_salvaged)
     }
 
     /// Post-recovery placement reconciliation. A crash between a group
@@ -533,7 +557,7 @@ impl ShardedDb {
     /// relation DML broadcasts create it everywhere — but it always
     /// exists on its hash shard if it exists at all, and it never moves);
     /// everything else routes to the shard that actually holds it.
-    pub(crate) fn rebuild_routes(dbs: &[ChronicleDb]) -> ShardRoutes {
+    fn rebuild_routes(dbs: &[ChronicleDb]) -> ShardRoutes {
         let n = dbs.len();
         let mut routes = ShardRoutes::new(n);
         for (i, db) in dbs.iter().enumerate() {
@@ -684,28 +708,7 @@ impl ShardedDb {
     /// Routing decisions come from [`ShardRoutes::plan`], the same
     /// authority the concurrent pipeline's SQL front end uses.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let stmt = parse(sql)?;
-        let (target, effect) = self.routes.plan(&stmt)?;
-        let out = match target {
-            RouteTarget::One(i) => self.shards[i].execute(sql)?,
-            RouteTarget::All => self.broadcast(sql)?,
-        };
-        if let Some(e) = effect {
-            self.routes.apply(e);
-        }
-        Ok(out)
-    }
-
-    /// Apply a relation DDL/DML statement to every shard's replica. All
-    /// replicas see the same statements in the same order, so a failure is
-    /// deterministic: it strikes shard 0 before any replica mutates, or
-    /// all replicas identically.
-    fn broadcast(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let mut last = None;
-        for s in &mut self.shards {
-            last = Some(s.execute(sql)?);
-        }
-        Ok(last.expect("at least one shard"))
+        self.execute_routed(sql, None)
     }
 
     /// [`ShardedDb::execute`] with an idempotent-session stamp: the owning
@@ -717,22 +720,30 @@ impl ShardedDb {
     /// *repaired* by its retry (already-applied replicas answer from
     /// cache, the rest catch up).
     pub fn execute_stamped(&mut self, sql: &str, session: u64, seq: u64) -> Result<ExecOutcome> {
+        self.execute_routed(sql, Some((session, seq)))
+    }
+
+    /// The one body behind [`ShardedDb::execute`] and
+    /// [`ShardedDb::execute_stamped`]. A broadcast applies the statement to
+    /// every shard's replica in shard order. All replicas see the same
+    /// statements in the same order, so a failure is deterministic: it
+    /// strikes shard 0 before any replica mutates, or all replicas
+    /// identically.
+    fn execute_routed(&mut self, sql: &str, stamp: Option<(u64, u64)>) -> Result<ExecOutcome> {
         let stmt = parse(sql)?;
         let (target, effect) = self.routes.plan(&stmt)?;
-        let out = match target {
-            RouteTarget::One(i) => self.shards[i].execute_stamped(sql, session, seq)?,
-            RouteTarget::All => {
-                let mut last = None;
-                for s in &mut self.shards {
-                    last = Some(s.execute_stamped(sql, session, seq)?);
-                }
-                last.expect("at least one shard")
-            }
+        let targets = match target {
+            RouteTarget::One(i) => &mut self.shards[i..=i],
+            RouteTarget::All => &mut self.shards[..],
         };
+        let mut last = None;
+        for s in targets {
+            last = Some(s.execute_with(sql, stamp)?);
+        }
         if let Some(e) = effect {
             self.routes.apply(e);
         }
-        Ok(out)
+        Ok(last.expect("at least one shard"))
     }
 
     // ---- leadership term (failover fencing, DESIGN.md §17) ----------------
@@ -788,6 +799,18 @@ impl ShardedDb {
     pub fn query_view_key(&self, name: &str, key: &[Value]) -> Result<Option<Tuple>> {
         let target = self.routes.view_shard(name)?;
         self.shards[target].query_view_key(name, key)
+    }
+
+    /// `SELECT`-shaped read: rows of a view, relation, or chronicle
+    /// window, with equality filters — what `ExecOutcome::Rows` carries,
+    /// without `&mut self`, so a leader and a read-only follower answer
+    /// through the same function.
+    pub fn select(
+        &self,
+        target: &str,
+        filters: &[(String, chronicle_sql::Literal)],
+    ) -> Result<Vec<Tuple>> {
+        self.shards[self.routes.select_shard(target)].select_rows(target, filters)
     }
 
     // ---- heavy-light placement (DESIGN.md §16) ----------------------------
@@ -851,7 +874,7 @@ impl ShardedDb {
     /// the plan is always empty (the verify.sh mutation check proves the
     /// E18 skew gate notices).
     pub fn plan_rebalance(&self) -> Vec<PlannedMove> {
-        if crate::mutate("static_placement") {
+        if mutate("static_placement") {
             return Vec::new();
         }
         let n = self.shards.len();
@@ -951,7 +974,38 @@ impl ShardedDb {
         Ok(plan)
     }
 
-    // ---- pipeline plumbing ------------------------------------------------
+    // ---- pipeline and follower plumbing -----------------------------------
+
+    /// Apply WAL records a leader logged on shard `shard` — the only
+    /// write path of a follower's detached database — through the normal
+    /// replay arms.
+    pub(crate) fn apply_shipped(
+        &mut self,
+        shard: usize,
+        records: Vec<(u64, WalRecord)>,
+    ) -> Result<()> {
+        let mut rerouted = false;
+        for (lsn, rec) in records {
+            // Group moves (import/evict) relocate objects between shards
+            // just like DDL creates them — both invalidate the routes.
+            rerouted |= matches!(
+                rec,
+                WalRecord::Ddl(_) | WalRecord::GroupImport { .. } | WalRecord::GroupEvict(_)
+            );
+            self.shards[shard]
+                .apply_wal_record(rec)
+                .map_err(|e| ChronicleError::Corruption {
+                    detail: format!("shipped record lsn {lsn} does not apply: {e}"),
+                })?;
+        }
+        if rerouted {
+            // Rebuild the name→shard maps the same way recovery does. Rare
+            // enough that eager rebuild beats tracking incremental effects
+            // across replicated shards.
+            self.routes = Self::rebuild_routes(&self.shards);
+        }
+        Ok(())
+    }
 
     /// Split into per-shard databases plus the routing table (the sharded
     /// pipeline gives each shard its own worker thread).
@@ -971,6 +1025,16 @@ impl ShardedDb {
             routes,
             manifest_salvaged,
         }
+    }
+}
+
+/// The single-engine case: one shard holding `db` as it is. Nothing is
+/// written — a durable `db` keeps its own directory (no `SHARDS` manifest,
+/// no `shard-000/`), so its files stay byte-identical to an unwrapped
+/// [`ChronicleDb`] driven through the same statements.
+impl From<ChronicleDb> for ShardedDb {
+    fn from(db: ChronicleDb) -> ShardedDb {
+        ShardedDb::from_shards(vec![db], false)
     }
 }
 

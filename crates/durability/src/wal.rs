@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chronicle_simkit::{RealFs, Vfs, VfsFile};
-use chronicle_types::{ChronicleError, Result};
+use chronicle_types::{mutate, ChronicleError, Result};
 
 use crate::crc::crc32;
 use crate::record::WalRecord;
@@ -209,12 +209,6 @@ fn lenient_max_lsn(bytes: &[u8]) -> Option<u64> {
         pos += 1;
     }
     max
-}
-
-/// Test-only mutation backdoor for the verify.sh mutation check: prove the
-/// simulation gate notices when salvage stops quarantining or reporting.
-pub(crate) fn mutate(which: &str) -> bool {
-    std::env::var("CHRONICLE_MUTATE").is_ok_and(|v| v == which)
 }
 
 /// Pick a collision-free name for `name` inside the quarantine directory.

@@ -13,7 +13,7 @@
 //! garbage length prefix cannot balloon memory.
 
 use chronicle_durability::crc::crc32;
-use chronicle_types::{ChronicleError, Result};
+use chronicle_types::{mutate, ChronicleError, Result};
 
 /// Hard ceiling on one frame's payload (64 MiB) — far above any legal
 /// message, low enough that a corrupt length prefix fails fast.
@@ -21,12 +21,6 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 /// Bytes of framing overhead per frame.
 pub const FRAME_OVERHEAD: usize = 8;
-
-/// Test-only mutation backdoor for the verify.sh mutation check: prove the
-/// corrupt-frame tests notice when CRC verification is skipped.
-pub(crate) fn mutate(which: &str) -> bool {
-    std::env::var("CHRONICLE_MUTATE").is_ok_and(|v| v == which)
-}
 
 fn corrupt(detail: String) -> ChronicleError {
     ChronicleError::Corruption { detail }

@@ -101,7 +101,7 @@ impl Replica {
         follower.check_leader_term(leader_term)?;
         conn.send(&Message::FetchWal {
             applied: follower.applied_lsns(),
-            term: follower.term(),
+            term: follower.db().term(),
         })?;
         let follower = Arc::new(Mutex::new(follower));
         let stop = Arc::new(AtomicBool::new(false));
@@ -175,7 +175,7 @@ impl Replica {
 
     /// The follower's current leadership term.
     pub fn term(&self) -> u64 {
-        self.follower.lock().expect("follower lock").term()
+        self.follower.lock().expect("follower lock").db().term()
     }
 
     /// Stop ingest and promote the follower into a live leader database
@@ -330,7 +330,7 @@ fn serve_read_only(
     stop: Arc<AtomicBool>,
 ) -> Result<()> {
     let mut conn = Conn::new(stream)?;
-    let shards = follower.lock().expect("follower lock").shard_count();
+    let shards = follower.lock().expect("follower lock").db().shard_count();
     loop {
         let msg = loop {
             if stop.load(Ordering::Relaxed) {
@@ -352,7 +352,7 @@ fn serve_read_only(
                     )))?;
                     return Ok(());
                 }
-                let term = follower.lock().expect("follower lock").term();
+                let term = follower.lock().expect("follower lock").db().term();
                 conn.send(&Message::Welcome {
                     shards: shards as u32,
                     term,
@@ -373,6 +373,7 @@ fn serve_read_only(
                         match follower
                             .lock()
                             .expect("follower lock")
+                            .db()
                             .select(&target, &filters)
                         {
                             Ok(rows) => Message::SqlOk(crate::proto::RemoteOutcome::Rows(rows)),

@@ -8,7 +8,7 @@
 //! [`Hello`](crate::proto::Message::Hello):
 //!
 //! * **Client** — request/reply SQL. Statements run through
-//!   [`ShardedPipelineHandle::execute`]; appends are acknowledged only
+//!   [`ShardedPipelineHandle::execute_stamped`]; appends are acknowledged only
 //!   after their shard's group-commit flush, so a `SqlOk` for an `APPEND`
 //!   means *durable*, exactly like the local API.
 //! * **Follower** — the connection becomes a one-way WAL byte stream
@@ -26,12 +26,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use chronicle_db::pipeline::{Admission, ShardedPipelineHandle, WalRequest};
+use chronicle_db::pipeline::{Admission, ShardedPipelineHandle};
 use chronicle_db::LatencySample;
-use chronicle_types::{ChronicleError, Result};
+use chronicle_types::{mutate, ChronicleError, Result};
 
 use crate::conn::Conn;
-use crate::frame::mutate;
 use crate::proto::{Message, Role, WireStats, PROTOCOL_VERSION};
 use crate::ship::{ShipEvent, Shipper, WalSource, DEFAULT_CHUNK};
 
@@ -110,7 +109,7 @@ impl Server {
             })?;
         // Blunt v1 retention: keep all history while the server lives.
         for shard in 0..handle.shard_count() {
-            handle.wal(shard, WalRequest::SetRetainFloor(1))?;
+            handle.with_shard(shard, |db| db.set_wal_retain_floor(1))??;
         }
         // A server's term is fixed for its lifetime: promotion happens on
         // a stopped replica, which then starts a *new* server.
@@ -265,12 +264,9 @@ fn serve_client(
                 let admit = Admission::Refuse {
                     retry_after_ms: OVERLOAD_RETRY_MS,
                 };
-                let result = if session == 0 {
-                    handle.execute(&sql)
-                } else {
-                    handle.execute_stamped(&sql, session, seq, admit)
-                };
-                let reply = match result {
+                // `session == 0` is the wire's "unstamped" (see `proto`).
+                let stamp = (session != 0).then_some((session, seq));
+                let reply = match handle.execute_stamped(&sql, stamp, admit) {
                     Ok(outcome) => Message::SqlOk((&outcome).into()),
                     Err(ChronicleError::Overloaded { retry_after_ms }) => {
                         counters.overload_rejections.fetch_add(1, Ordering::Relaxed);

@@ -18,8 +18,8 @@
 //! [`chronicle_durability::Wal::read_segment`]), so a follower can never
 //! apply a record its crash-recovered leader would not have.
 
-use chronicle_db::pipeline::{ShardedPipelineHandle, WalRequest, WalResponse};
-use chronicle_db::{ChronicleDb, ShardedDb};
+use chronicle_db::pipeline::ShardedPipelineHandle;
+use chronicle_db::ShardedDb;
 use chronicle_durability::{SegmentInfo, SegmentRead};
 use chronicle_types::{ChronicleError, Result};
 
@@ -54,21 +54,11 @@ impl WalSource for ShardedPipelineHandle {
     }
 
     fn last_durable_lsn(&self, shard: usize) -> Result<u64> {
-        match self.wal(shard, WalRequest::LastDurableLsn)? {
-            WalResponse::Lsn(l) => Ok(l),
-            other => Err(ChronicleError::Internal(format!(
-                "mismatched WAL response {other:?}"
-            ))),
-        }
+        self.with_shard(shard, |db| db.wal_last_durable_lsn())?
     }
 
     fn segment_containing(&self, shard: usize, lsn: u64) -> Result<Option<SegmentInfo>> {
-        match self.wal(shard, WalRequest::SegmentContaining(lsn))? {
-            WalResponse::Segment(s) => Ok(s),
-            other => Err(ChronicleError::Internal(format!(
-                "mismatched WAL response {other:?}"
-            ))),
-        }
+        self.with_shard(shard, move |db| db.wal_segment_containing(lsn))?
     }
 
     fn read_segment(
@@ -78,19 +68,7 @@ impl WalSource for ShardedPipelineHandle {
         offset: u64,
         max: usize,
     ) -> Result<SegmentRead> {
-        match self.wal(
-            shard,
-            WalRequest::ReadSegment {
-                first_lsn,
-                offset,
-                max,
-            },
-        )? {
-            WalResponse::Bytes(b) => Ok(b),
-            other => Err(ChronicleError::Internal(format!(
-                "mismatched WAL response {other:?}"
-            ))),
-        }
+        self.with_shard(shard, move |db| db.wal_read_segment(first_lsn, offset, max))?
     }
 }
 
@@ -115,31 +93,6 @@ impl WalSource for ShardedDb {
         max: usize,
     ) -> Result<SegmentRead> {
         self.shard(shard).wal_read_segment(first_lsn, offset, max)
-    }
-}
-
-/// A single-shard source (the simulation's single-db mode).
-impl WalSource for ChronicleDb {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn last_durable_lsn(&self, _shard: usize) -> Result<u64> {
-        self.wal_last_durable_lsn()
-    }
-
-    fn segment_containing(&self, _shard: usize, lsn: u64) -> Result<Option<SegmentInfo>> {
-        self.wal_segment_containing(lsn)
-    }
-
-    fn read_segment(
-        &self,
-        _shard: usize,
-        first_lsn: u64,
-        offset: u64,
-        max: usize,
-    ) -> Result<SegmentRead> {
-        self.wal_read_segment(first_lsn, offset, max)
     }
 }
 
@@ -367,7 +320,11 @@ mod tests {
             }
             leader.wal_flush().unwrap();
             sync(&mut shipper, &leader, &mut f);
-            assert_eq!(f.snapshot_views(), leader.snapshot_views(), "round {round}");
+            assert_eq!(
+                f.db().snapshot_views(),
+                leader.snapshot_views(),
+                "round {round}"
+            );
         }
     }
 
@@ -406,7 +363,7 @@ mod tests {
         let mut s2 = Shipper::new(&f.applied_lsns(), 50);
         sync(&mut s2, &leader, &mut f);
         assert!(f.applied_lsn(0) > mid);
-        assert_eq!(f.snapshot_views(), leader.snapshot_views());
+        assert_eq!(f.db().snapshot_views(), leader.snapshot_views());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use chronicle_net::{
     PROTOCOL_VERSION,
 };
 use chronicle_testkit::TempDir;
-use chronicle_types::ChronicleError;
+use chronicle_types::{ChronicleError, Chronon, Value};
 
 fn opts() -> DurabilityOptions {
     DurabilityOptions {
@@ -265,6 +265,78 @@ fn stamped_retry_is_answered_from_cache_over_tcp() {
     assert_eq!(stats.session_replays, 1);
     client.goodbye();
     again.goodbye();
+    server.stop();
+    pipeline.shutdown();
+}
+
+#[test]
+fn unstamped_sql_on_a_full_queue_is_refused_not_parked() {
+    let dir = TempDir::new("net-err-overload");
+    let (pipeline, server, addr) = start_leader(&dir, "L");
+    let handle = pipeline.handle();
+    let shard = handle.shard_of("c").unwrap();
+
+    // Park the worker that owns `c` inside a closure request, then fill
+    // the 64-slot queue (`start_leader`'s capacity) behind it.
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let parker = {
+        let handle = handle.clone();
+        std::thread::spawn(move || {
+            handle
+                .with_shard(shard, move |_| {
+                    parked_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+                .unwrap()
+        })
+    };
+    parked_rx.recv().unwrap();
+    for _ in 0..64 {
+        handle
+            .append_nowait("c", Chronon(0), vec![vec![Value::Int(1)]])
+            .unwrap();
+    }
+
+    // An unstamped (`session == 0`) statement now gets the typed refusal
+    // at once. The read timeout turns a session thread blocked on the
+    // queue into a test failure instead of a hang.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut dec = FrameDecoder::new();
+    send_raw(&mut stream, &hello(0));
+    assert!(matches!(
+        recv_raw(&mut stream, &mut dec),
+        Some(Message::Welcome { .. })
+    ));
+    let sql = Message::Sql {
+        sql: "APPEND INTO c VALUES (1)".into(),
+        session: 0,
+        seq: 0,
+    };
+    send_raw(&mut stream, &sql);
+    let reply = recv_raw(&mut stream, &mut dec);
+    assert!(
+        matches!(reply, Some(Message::Overloaded { .. })),
+        "expected Overloaded, got {reply:?}"
+    );
+
+    // Once the queue drains the same session is served again, and the
+    // refused statement never applied.
+    release_tx.send(()).unwrap();
+    parker.join().unwrap();
+    let reply = loop {
+        send_raw(&mut stream, &sql);
+        match recv_raw(&mut stream, &mut dec) {
+            Some(Message::Overloaded { .. }) => continue,
+            other => break other,
+        }
+    };
+    assert!(matches!(reply, Some(Message::SqlOk(_))), "got {reply:?}");
+    send_raw(&mut stream, &Message::Goodbye);
+    assert_eq!(applied_rows(&addr), 65);
     server.stop();
     pipeline.shutdown();
 }

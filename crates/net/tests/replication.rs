@@ -6,9 +6,9 @@
 
 use std::time::Duration;
 
-use chronicle_db::pipeline::{ShardedPipeline, ShardedPipelineHandle, WalRequest, WalResponse};
+use chronicle_db::pipeline::{ShardedPipeline, ShardedPipelineHandle};
 use chronicle_db::{DurabilityOptions, ShardedDb};
-use chronicle_net::{Client, RemoteOutcome, Replica, Server};
+use chronicle_net::{Client, RemoteOutcome, Replica, Server, WalSource};
 use chronicle_testkit::TempDir;
 use chronicle_types::Value;
 
@@ -25,12 +25,7 @@ fn shards() -> usize {
 /// while appends keep landing.
 fn durable_frontier(handle: &ShardedPipelineHandle) -> Vec<u64> {
     (0..handle.shard_count())
-        .map(
-            |s| match handle.wal(s, WalRequest::LastDurableLsn).unwrap() {
-                WalResponse::Lsn(l) => l,
-                other => panic!("unexpected wal response {other:?}"),
-            },
-        )
+        .map(|s| WalSource::last_durable_lsn(handle, s).unwrap())
         .collect()
 }
 
@@ -137,15 +132,19 @@ fn leader_serves_sql_and_follower_converges_over_tcp() {
     server.stop();
     let leader_db = pipeline.shutdown();
     let follower_db = replica.stop().unwrap();
-    assert_eq!(follower_db.snapshot_views(), leader_db.snapshot_views());
+    assert_eq!(
+        follower_db.db().snapshot_views(),
+        leader_db.snapshot_views()
+    );
 
     // The follower's query surface agrees with the leader's.
     assert_eq!(
-        follower_db.query_view("totals").unwrap(),
+        follower_db.db().query_view("totals").unwrap(),
         leader_db.query_view("totals").unwrap()
     );
     assert_eq!(
         follower_db
+            .db()
             .query_view_key("totals", &[Value::Int(3)])
             .unwrap(),
         leader_db
@@ -217,5 +216,5 @@ fn follower_restart_over_tcp_resumes() {
     client.goodbye();
     server.stop();
     let leader_db = pipeline.shutdown();
-    assert_eq!(f2.snapshot_views(), leader_db.snapshot_views());
+    assert_eq!(f2.db().snapshot_views(), leader_db.snapshot_views());
 }

@@ -13,7 +13,9 @@
 //!   (paper §2.1),
 //! * identifier newtypes for chronicles, relations, views and chronicle
 //!   groups,
-//! * [`ChronicleError`] — the typed error used across the workspace.
+//! * [`ChronicleError`] — the typed error used across the workspace,
+//! * [`mutate`] — the one reader of the test-only `CHRONICLE_MUTATE`
+//!   backdoor behind verify.sh's mutation checks.
 //!
 //! The chronicle data model is from:
 //! H. V. Jagadish, I. S. Mumick, A. Silberschatz,
@@ -24,6 +26,7 @@
 pub mod codec;
 mod error;
 mod ids;
+mod mutate;
 mod schema;
 mod seq;
 mod tuple;
@@ -31,6 +34,7 @@ mod value;
 
 pub use error::{ChronicleError, Result};
 pub use ids::{ChronicleId, GroupId, RelationId, ViewId};
+pub use mutate::mutate;
 pub use schema::{AttrType, Attribute, Schema};
 pub use seq::{Chronon, SeqNo};
 pub use tuple::{Tuple, TupleBuilder};

@@ -13,7 +13,9 @@ use chronicle_algebra::delta::{DeltaBatch, DeltaEngine};
 use chronicle_algebra::kernels::{self, VectorPlan};
 use chronicle_algebra::{RelQuery, ScaExpr, WorkCounter, ZSet};
 use chronicle_store::{Catalog, Chunk, ChunkArena};
-use chronicle_types::{ChronicleId, Chronon, RelationId, Result, SeqNo, Tuple, Value, ViewId};
+use chronicle_types::{
+    mutate, ChronicleId, Chronon, RelationId, Result, SeqNo, Tuple, Value, ViewId,
+};
 
 use crate::periodic::PeriodicViewSet;
 use crate::persistent::PersistentView;
@@ -368,7 +370,7 @@ impl Maintainer {
         // column buffers across appends.
         let vectorize = self.batch_mode == BatchMode::Vectorized
             && event.tuples.len() >= 2
-            && !kernels::scalar_fallback_forced();
+            && !mutate("scalar_fallback");
         let chunk: Option<Chunk> =
             if vectorize && selected.iter().any(|vid| self.plans.contains_key(vid)) {
                 Some(self.arena.build(&event.tuples))

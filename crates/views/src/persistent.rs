@@ -17,7 +17,7 @@ use chronicle_algebra::delta::SummaryDelta;
 use chronicle_algebra::eval::seq_to_int;
 use chronicle_algebra::{Accumulator, ScaExpr, Summarize, WorkCounter};
 use chronicle_store::Catalog;
-use chronicle_types::{ChronicleError, Result, Schema, Tuple, Value, ViewId};
+use chronicle_types::{mutate, ChronicleError, Result, Schema, Tuple, Value, ViewId};
 
 /// The materialized state of one SCA persistent view.
 #[derive(Debug)]
@@ -128,7 +128,7 @@ impl PersistentView {
                     work.tuples_in += w.unsigned_abs();
                     let m = counts.entry(row.clone()).or_insert(0);
                     *m += w;
-                    if *m == 0 && !chronicle_algebra::zset::consolidation_disabled() {
+                    if *m == 0 && !mutate("skip_consolidation") {
                         counts.remove(row);
                     }
                 }

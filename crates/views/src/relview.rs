@@ -21,10 +21,9 @@ use std::collections::BTreeMap;
 use crate::codec::{Reader, ReaderExt as _, Writer, WriterExt as _};
 use chronicle_algebra::delta::SummaryDelta;
 use chronicle_algebra::eval::seq_to_int;
-use chronicle_algebra::zset::consolidation_disabled;
 use chronicle_algebra::{Accumulator, RelQuery, Summarize, WorkCounter};
 use chronicle_store::Relation;
-use chronicle_types::{ChronicleError, Result, Schema, Tuple, Value, ViewId};
+use chronicle_types::{mutate, ChronicleError, Result, Schema, Tuple, Value, ViewId};
 
 /// Accumulators plus the signed count of live (filtered) base rows in the
 /// group — the group exists exactly while `live > 0`.
@@ -135,7 +134,7 @@ impl RelationView {
                             self.name
                         )));
                     }
-                    if gs.live == 0 && !consolidation_disabled() {
+                    if gs.live == 0 && !mutate("skip_consolidation") {
                         groups.remove(key);
                     }
                 }
@@ -152,7 +151,7 @@ impl RelationView {
                             self.name
                         )));
                     }
-                    if *m == 0 && !consolidation_disabled() {
+                    if *m == 0 && !mutate("skip_consolidation") {
                         counts.remove(row);
                     }
                 }

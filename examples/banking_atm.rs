@@ -15,7 +15,7 @@
 //!   before the next ATM withdrawal"*.
 
 use chronicle::db::baseline::ProceduralSummary;
-use chronicle::db::pipeline::Pipeline;
+use chronicle::db::pipeline::ShardedPipeline;
 use chronicle::prelude::*;
 use chronicle::workload::AtmGen;
 
@@ -39,7 +39,7 @@ fn main() -> Result<(), ChronicleError> {
     });
 
     // Four ATMs post transactions concurrently through the pipeline.
-    let pipeline = Pipeline::start(db, 256);
+    let pipeline = ShardedPipeline::start(db.into(), 256);
     let mut handles = Vec::new();
     let (tx, rx) = std::sync::mpsc::channel::<Tuple>();
     for atm_id in 0..4u64 {

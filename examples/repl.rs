@@ -57,114 +57,64 @@ use chronicle::db::{ExecOutcome, ShardedDb};
 use chronicle::net::{Client, RemoteOutcome, Replica, RetryClient, RetryPolicy, Server};
 use chronicle::prelude::*;
 
-/// The repl drives either a plain database or a sharded one behind the
-/// same command surface.
-enum Session {
-    Single(Box<ChronicleDb>),
-    Sharded(Box<ShardedDb>),
+fn print_views(db: &ShardedDb) {
+    for (i, shard) in db.shards().iter().enumerate() {
+        let origin = if db.shard_count() > 1 {
+            format!("s{i} ")
+        } else {
+            String::new()
+        };
+        for v in shard.maintainer().iter_views() {
+            println!(
+                "{origin}{:<24} {:<10} {:<12} rows={:<8} {}",
+                v.name(),
+                v.expr().language_name(),
+                v.expr().im_class().to_string(),
+                v.len(),
+                v.expr()
+            );
+        }
+    }
 }
 
-impl Session {
-    fn execute(&mut self, sql: &str) -> Result<ExecOutcome, ChronicleError> {
-        match self {
-            Session::Single(db) => db.execute(sql),
-            Session::Sharded(db) => db.execute(sql),
-        }
+fn scrub(db: &ShardedDb) {
+    if !db.shard(0).is_durable() {
+        println!("nothing to scrub: this session is in-memory");
+        return;
     }
-
-    fn stats(&self) -> chronicle::db::DbStats {
-        match self {
-            Session::Single(db) => db.stats().clone(),
-            Session::Sharded(db) => db.stats(),
-        }
+    match db.scrub() {
+        Ok(report) => println!("{report}"),
+        Err(e) => println!("scrub failed: {e}"),
     }
+}
 
-    fn is_durable(&self) -> bool {
-        match self {
-            Session::Single(db) => db.is_durable(),
-            Session::Sharded(db) => db.shard(0).is_durable(),
-        }
-    }
-
-    fn print_views(&self) {
-        let print = |shard: Option<usize>, db: &ChronicleDb| {
-            for v in db.maintainer().iter_views() {
-                let origin = shard.map(|s| format!("s{s} ")).unwrap_or_default();
-                println!(
-                    "{origin}{:<24} {:<10} {:<12} rows={:<8} {}",
-                    v.name(),
-                    v.expr().language_name(),
-                    v.expr().im_class().to_string(),
-                    v.len(),
-                    v.expr()
-                );
+/// After a durable open: surface what salvage recovery had to do, if
+/// anything. Quiet on clean opens and under `Strict` (no report).
+fn print_salvage(db: &ShardedDb) {
+    for (i, sr) in db.salvage_reports() {
+        if !sr.is_trivial() {
+            if db.shard_count() > 1 {
+                println!("shard {i}:");
             }
-        };
-        match self {
-            Session::Single(db) => print(None, db),
-            Session::Sharded(db) => {
-                for (i, shard) in db.shards().iter().enumerate() {
-                    print(Some(i), shard);
+            print!("{sr}");
+        }
+    }
+    if db.manifest_salvaged() {
+        println!("shard manifest was corrupt: quarantined and rewritten");
+    }
+}
+
+fn checkpoint(db: &mut ShardedDb) {
+    match db.checkpoint() {
+        Ok(lsns) => {
+            for (i, lsn) in lsns.iter().enumerate() {
+                if lsns.len() > 1 {
+                    print!("shard {i}: ");
                 }
+                println!("checkpoint written through lsn {lsn}");
             }
         }
-    }
-
-    fn scrub(&self) {
-        if !self.is_durable() {
-            println!("nothing to scrub: this session is in-memory");
-            return;
-        }
-        let result = match self {
-            Session::Single(db) => db.scrub(),
-            Session::Sharded(db) => db.scrub(),
-        };
-        match result {
-            Ok(report) => println!("{report}"),
-            Err(e) => println!("scrub failed: {e}"),
-        }
-    }
-
-    /// After a durable open: surface what salvage recovery had to do, if
-    /// anything. Quiet on clean opens and under `Strict` (no report).
-    fn print_salvage(&self) {
-        match self {
-            Session::Single(db) => {
-                if let Some(sr) = &db.stats().salvage {
-                    if !sr.is_trivial() {
-                        print!("{sr}");
-                    }
-                }
-            }
-            Session::Sharded(db) => {
-                for (i, sr) in db.salvage_reports() {
-                    if !sr.is_trivial() {
-                        println!("shard {i}:");
-                        print!("{sr}");
-                    }
-                }
-                if db.manifest_salvaged() {
-                    println!("shard manifest was corrupt: quarantined and rewritten");
-                }
-            }
-        }
-    }
-
-    fn checkpoint(&mut self) {
-        match self {
-            Session::Single(db) => match db.checkpoint() {
-                Ok(lsn) => println!("checkpoint written through lsn {lsn}"),
-                Err(e) => println!("error: {e}"),
-            },
-            Session::Sharded(db) => match db.checkpoint() {
-                Ok(lsns) => {
-                    for (i, lsn) in lsns.iter().enumerate() {
-                        println!("shard {i}: checkpoint written through lsn {lsn}");
-                    }
-                }
-                Err(e) => println!("error: {e}"),
-            },
-        }
+        Err(e) => println!("error: {e}"),
     }
 }
 
@@ -198,7 +148,9 @@ fn main() {
         recovery,
         ..DurabilityOptions::default()
     };
-    let mut db = match (path, shards) {
+    // Either topology is held as a `ShardedDb`; a plain database is the
+    // one-shard case (`.into()`), its directory layout untouched.
+    let mut db: ShardedDb = match (path, shards) {
         (Some(path), None) => match ChronicleDb::open_with(&path, opts) {
             Ok(db) => {
                 let s = db.stats();
@@ -206,9 +158,7 @@ fn main() {
                     "opened `{path}` (checkpoint lsn {:?}, {} WAL records replayed)",
                     s.recovery_checkpoint_lsn, s.recovery_replayed_records
                 );
-                let session = Session::Single(Box::new(db));
-                session.print_salvage();
-                session
+                db.into()
             }
             Err(e) => {
                 eprintln!("cannot open `{path}`: {e}");
@@ -222,18 +172,17 @@ fn main() {
                     "opened `{path}` across {n} shard(s) ({} WAL records replayed)",
                     s.recovery_replayed_records
                 );
-                let session = Session::Sharded(Box::new(db));
-                session.print_salvage();
-                session
+                db
             }
             Err(e) => {
                 eprintln!("cannot open `{path}` with {n} shard(s): {e}");
                 std::process::exit(1);
             }
         },
-        (None, Some(n)) => Session::Sharded(Box::new(ShardedDb::new(n).expect("shards >= 1"))),
-        (None, None) => Session::Single(Box::new(ChronicleDb::new())),
+        (None, Some(n)) => ShardedDb::new(n).expect("shards >= 1"),
+        (None, None) => ChronicleDb::new().into(),
     };
+    print_salvage(&db);
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     println!("chronicle repl — SQL statements, or .views / .stats / .checkpoint / .scrub / .quit");
@@ -256,7 +205,7 @@ fn main() {
         match line {
             ".quit" | ".exit" => break,
             ".views" => {
-                db.print_views();
+                print_views(&db);
                 continue;
             }
             ".stats" => {
@@ -272,7 +221,7 @@ fn main() {
                     "router: {} guard-skips, {} interval-skips; work: {:?}",
                     s.skipped_by_guard, s.skipped_by_interval, s.work
                 );
-                if db.is_durable() {
+                if db.shard(0).is_durable() {
                     println!(
                         "wal: {} records, {} bytes, {} flushes; checkpoints: {}",
                         s.wal_records, s.wal_bytes, s.wal_flushes, s.checkpoints
@@ -281,11 +230,11 @@ fn main() {
                 continue;
             }
             ".checkpoint" | "\\checkpoint" => {
-                db.checkpoint();
+                checkpoint(&mut db);
                 continue;
             }
             ".scrub" => {
-                db.scrub();
+                scrub(&db);
                 continue;
             }
             _ => {}
@@ -467,6 +416,7 @@ fn follow_main(args: &[String]) {
             .follower()
             .lock()
             .expect("follower lock")
+            .db()
             .shard_count()
     );
     if let Some(ro) = ro {
@@ -511,7 +461,7 @@ fn follow_main(args: &[String]) {
                 let f = f.lock().expect("follower lock");
                 match chronicle::sql::parse(sql) {
                     Ok(chronicle::sql::Statement::Select { target, filters }) => {
-                        match f.select(&target, &filters) {
+                        match f.db().select(&target, &filters) {
                             Ok(rows) => {
                                 for r in &rows {
                                     println!("{r}");

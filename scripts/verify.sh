@@ -11,6 +11,15 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all --check
 
+echo "== one mutation backdoor =="
+# Every mutation check below goes through `chronicle_types::mutate`: the
+# environment variable has exactly one reader in production source.
+readers="$(grep -rF 'env::var("CHRONICLE_MUTATE")' crates/*/src src | wc -l)"
+if [ "$readers" -ne 1 ]; then
+    echo "expected exactly one CHRONICLE_MUTATE reader under crates/*/src and src/, found $readers"
+    exit 1
+fi
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 

@@ -36,8 +36,8 @@
 //! each as the pseudo-statement `MOVE GROUP g TO SHARD k` and pushes it
 //! through the same acknowledged-history machinery as SQL: sharded runs
 //! execute it via [`ShardedDb::move_group`] (the target reduced modulo
-//! the shard count) and acknowledge on `Ok`, single-topology runs reject
-//! it benignly (nowhere to move a group), and the oracle replays the
+//! the shard count) and acknowledge on `Ok`, single-topology runs drop
+//! it unacknowledged (nowhere to move a group), and the oracle replays the
 //! pseudo-statement identically — placement is part of the per-shard
 //! digest, so a placement divergence fails the run like any state
 //! divergence. A crash mid-move is verified like any in-flight
@@ -82,8 +82,8 @@
 //!   high-water lsn after every acknowledged statement (statements may
 //!   log zero records — a no-op `DELETE` is acknowledged without touching
 //!   the log — so statement index and lsn are not interchangeable), and
-//!   the [`SalvageReport`]'s `replayed_through`/`lost` fields must name
-//!   `k` precisely under that map. Dropped acknowledged statements
+//!   the [`chronicle_db::SalvageReport`]'s `replayed_through`/`lost`
+//!   fields must name `k` precisely under that map. Dropped acknowledged statements
 //!   without a matching loss confession, or a quarantined file the
 //!   report names that does not exist, are failures. After a lossy
 //!   salvage the driver rebases its acknowledged history to the
@@ -128,9 +128,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use chronicle_db::{
-    ChronicleDb, DurabilityOptions, FollowerDb, RecoveryPolicy, SalvageReport, ShardedDb,
-};
+use chronicle_db::{ChronicleDb, DurabilityOptions, FollowerDb, RecoveryPolicy, ShardedDb};
 use chronicle_net::frame::{encode_frame, FrameDecoder};
 use chronicle_net::{Message, ShipEvent, Shipper, WalSource};
 use chronicle_simkit::{generate, ScheduleConfig, SimFs, SimOp, SimPipe, Vfs, SHORT_READ_MSG};
@@ -210,10 +208,10 @@ pub struct SimReport {
     /// skipped, or lost).
     pub salvaged_opens: usize,
     /// Acknowledged statements dropped by lossy salvages — every one of
-    /// them enumerated by a matching [`SalvageReport`].
+    /// them enumerated by a matching [`chronicle_db::SalvageReport`].
     pub acked_lost: usize,
     /// Acknowledged `MOVE GROUP` pseudo-statements (sharded runs only;
-    /// single topology rejects every move benignly).
+    /// single topology has nowhere to move a group).
     pub moves: usize,
 }
 
@@ -267,67 +265,27 @@ pub fn run_seed_bit_rot_sharded(
 
 // ---- driver ---------------------------------------------------------------
 
-/// The system under test: one durable database in either topology.
-/// (One instance exists per run, so the size skew between the variants
-/// is irrelevant — no boxing.)
-#[allow(clippy::large_enum_variant)]
-enum Db {
-    Single(ChronicleDb),
-    Sharded(ShardedDb),
+/// Execute one schedule statement. The system under test is always a
+/// [`ShardedDb`]: single topology is the one-shard case wrapped around a
+/// [`ChronicleDb`] (`shards: None` — see [`open`]).
+fn execute(db: &mut ShardedDb, sql: &str) -> chronicle_types::Result<()> {
+    if let Some((group, to)) = parse_move(sql) {
+        return db.move_group(group, to as usize % db.shard_count());
+    }
+    db.execute(sql).map(|_| ())
 }
 
-impl Db {
-    fn execute(&mut self, sql: &str) -> chronicle_types::Result<()> {
-        if let Some((group, to)) = parse_move(sql) {
-            return match self {
-                // Single topology has nowhere to move a group: reject,
-                // which the driver treats as benign (not acknowledged).
-                Db::Single(_) => Err(chronicle_types::ChronicleError::NotFound {
-                    kind: "shard",
-                    name: to.to_string(),
-                }),
-                Db::Sharded(db) => {
-                    let n = db.shard_count();
-                    db.move_group(group, to as usize % n)
-                }
-            };
-        }
-        match self {
-            Db::Single(db) => db.execute(sql).map(|_| ()),
-            Db::Sharded(db) => db.execute(sql).map(|_| ()),
-        }
-    }
-
-    fn checkpoint(&mut self) -> chronicle_types::Result<()> {
-        match self {
-            Db::Single(db) => db.checkpoint().map(|_| ()),
-            Db::Sharded(db) => db.checkpoint().map(|_| ()),
-        }
-    }
-
-    fn digest(&self) -> String {
-        match self {
-            Db::Single(db) => digest_single(db),
-            Db::Sharded(db) => digest_sharded(db),
-        }
-    }
-
-    /// The salvage report of the most recent open (`Some` iff it ran
-    /// under [`RecoveryPolicy::Salvage`]; aggregated across shards).
-    fn salvage(&self) -> Option<SalvageReport> {
-        match self {
-            Db::Single(db) => db.stats().salvage.clone(),
-            Db::Sharded(db) => db.stats().salvage,
-        }
-    }
-
-    /// WAL records written since the most recent open (summed across
-    /// shards; only meaningful for exact accounting in single topology).
-    fn wal_records(&self) -> u64 {
-        match self {
-            Db::Single(db) => db.stats().wal_records,
-            Db::Sharded(db) => db.stats().wal_records,
-        }
+/// Open the database under test: at the root itself for single topology,
+/// under the `SHARDS` manifest layout otherwise.
+fn open(
+    vfs: Arc<dyn Vfs>,
+    root: &std::path::Path,
+    opts: DurabilityOptions,
+    shards: Option<usize>,
+) -> chronicle_types::Result<ShardedDb> {
+    match shards {
+        None => ChronicleDb::open_with_vfs(vfs, root, opts).map(ShardedDb::from),
+        Some(n) => ShardedDb::open_with_vfs(vfs, root, n, opts),
     }
 }
 
@@ -371,7 +329,7 @@ fn run(
     let mut lsn_map: Vec<u64> = Vec::new();
     let mut wal_base: u64 = 0;
     let mut db = reopen(&fs, &vfs, &root, opts, shards, seed, &mut report)?;
-    wal_base = db.salvage().map_or(wal_base, |r| r.replayed_through);
+    wal_base = db.stats().salvage.map_or(wal_base, |r| r.replayed_through);
 
     for op in &schedule.ops {
         // Group moves run through the same acknowledged-history machinery
@@ -384,8 +342,10 @@ fn run(
                 // reconciled aftermath (an open-time evict applied atop a
                 // rotted prefix) is not enumerable as per-shard prefixes
                 // of the acknowledged history. Placement-under-crash is
-                // fully verified by the non-rot sweeps above.
-                if bit_rot {
+                // fully verified by the non-rot sweeps above. Single
+                // topology has nowhere to move a group: the op is dropped
+                // unacknowledged.
+                if bit_rot || shards.is_none() {
                     continue;
                 }
                 rendered = SimOp::Sql(render_move(group, *to));
@@ -401,11 +361,11 @@ fn run(
                     acked.len(),
                     fs.mutation_count()
                 );
-                match db.execute(sql) {
+                match execute(&mut db, sql) {
                     Ok(()) => {
                         acked.push(sql.clone());
                         if bit_rot && shards.is_none() {
-                            lsn_map.push(wal_base + db.wal_records());
+                            lsn_map.push(wal_base + db.stats().wal_records);
                         }
                     }
                     Err(_) if fs.crashed() => {
@@ -425,7 +385,7 @@ fn run(
                             )?;
                         }
                         db = reopen(&fs, &vfs, &root, opts, shards, seed, &mut report)?;
-                        wal_base = db.salvage().map_or(wal_base, |r| r.replayed_through);
+                        wal_base = db.stats().salvage.map_or(wal_base, |r| r.replayed_through);
                         match check(
                             &db,
                             &fs,
@@ -458,7 +418,7 @@ fn run(
             SimOp::Checkpoint => {
                 trace!("TRACE checkpoint muts={}", fs.mutation_count());
                 match db.checkpoint() {
-                    Ok(()) => report.checkpoints += 1,
+                    Ok(_) => report.checkpoints += 1,
                     Err(_) if fs.crashed() => {
                         // Checkpoints change no logical state: recovery
                         // must reproduce exactly the acknowledged history,
@@ -479,7 +439,7 @@ fn run(
                             )?;
                         }
                         db = reopen(&fs, &vfs, &root, opts, shards, seed, &mut report)?;
-                        wal_base = db.salvage().map_or(wal_base, |r| r.replayed_through);
+                        wal_base = db.stats().salvage.map_or(wal_base, |r| r.replayed_through);
                         match check(
                             &db,
                             &fs,
@@ -524,7 +484,7 @@ fn run(
                     fs.set_short_reads(*short_reads);
                 }
                 db = reopen(&fs, &vfs, &root, opts, shards, seed, &mut report)?;
-                wal_base = db.salvage().map_or(wal_base, |r| r.replayed_through);
+                wal_base = db.stats().salvage.map_or(wal_base, |r| r.replayed_through);
                 match check(
                     &db,
                     &fs,
@@ -584,7 +544,7 @@ fn finalize(report: &mut SimReport, acked: &[String]) {
 /// Dispatch to the right post-recovery verifier for this run mode.
 #[allow(clippy::too_many_arguments)]
 fn check(
-    db: &Db,
+    db: &ShardedDb,
     fs: &SimFs,
     acked: &mut Vec<String>,
     lsn_map: &mut Vec<u64>,
@@ -602,16 +562,15 @@ fn check(
     }
 }
 
-/// After any sharded recovery, every non-default group must live on
+/// After any recovery, every non-default group must live on
 /// exactly one shard: the epoch reconcile in `ShardedDb::open` rolls a
 /// half-committed move forward and evicts the losing copy, so dual
 /// ownership surviving an open is a placement-protocol bug regardless of
 /// whether the digests happen to match.
-fn assert_single_owner(db: &Db, seed: u64) -> Result<(), SimFailure> {
-    let Db::Sharded(s) = db else { return Ok(()) };
+fn assert_single_owner(db: &ShardedDb, seed: u64) -> Result<(), SimFailure> {
     let mut owners: std::collections::HashMap<String, Vec<usize>> =
         std::collections::HashMap::new();
-    for (i, shard) in s.shards().iter().enumerate() {
+    for (i, shard) in db.shards().iter().enumerate() {
         for g in shard.catalog().groups() {
             // The derived "default" group legitimately exists on every
             // shard that ever appended outside an explicit group.
@@ -672,7 +631,7 @@ fn reopen(
     shards: Option<usize>,
     seed: u64,
     report: &mut SimReport,
-) -> Result<Db, SimFailure> {
+) -> Result<ShardedDb, SimFailure> {
     if shards.is_some() {
         fs.clear_faults();
     }
@@ -681,11 +640,7 @@ fn reopen(
         if trace_on() {
             trace_dump_disk(fs);
         }
-        let attempt = match shards {
-            None => ChronicleDb::open_with_vfs(Arc::clone(vfs), root, opts).map(Db::Single),
-            Some(n) => ShardedDb::open_with_vfs(Arc::clone(vfs), root, n, opts).map(Db::Sharded),
-        };
-        match attempt {
+        match open(Arc::clone(vfs), root, opts, shards) {
             Ok(db) => {
                 report.recoveries += 1;
                 return Ok(db);
@@ -776,16 +731,16 @@ enum Verdict {
 /// broadcast in-flight statement may also land on a per-shard prefix of
 /// the two (see the module docs).
 fn verify(
-    db: &Db,
+    db: &ShardedDb,
     acked: &mut Vec<String>,
     in_flight: Option<&str>,
     shards: Option<usize>,
     seed: u64,
     report: &mut SimReport,
 ) -> Result<Verdict, SimFailure> {
-    let got = db.digest();
+    let got = digest_sharded(db);
     let oracle_a = replay(acked, shards, seed)?;
-    let digest_a = oracle_a.digest();
+    let digest_a = digest_sharded(&oracle_a);
     if got == digest_a {
         return Ok(Verdict::Continue);
     }
@@ -796,23 +751,22 @@ fn verify(
     with_in_flight.push(sql.to_string());
     let oracle_b = replay_lenient(&with_in_flight, shards, seed);
     if let Some(b) = &oracle_b {
-        if got == b.digest() {
+        if got == digest_sharded(b) {
             acked.push(sql.to_string());
             return Ok(Verdict::Continue);
         }
     }
     // A broadcast statement commits shard-by-shard: a power cut mid-way
-    // legally applies it to a prefix of shards only.
-    if let (Db::Sharded(real), Db::Sharded(a), Some(Db::Sharded(b))) =
-        (db, &oracle_a, oracle_b.as_ref())
-    {
+    // legally applies it to a prefix of shards only (with one shard there
+    // is no proper prefix, so this never matches).
+    if let Some(b) = &oracle_b {
         if is_broadcast(sql) {
-            let n = real.shard_count();
+            let n = db.shard_count();
             let per: Vec<(bool, bool)> = (0..n)
                 .map(|i| {
-                    let g = digest_single(real.shard(i));
+                    let g = digest_single(db.shard(i));
                     (
-                        g == digest_single(a.shard(i)),
+                        g == digest_single(oracle_a.shard(i)),
                         g == digest_single(b.shard(i)),
                     )
                 })
@@ -828,7 +782,7 @@ fn verify(
             }
         }
     }
-    let digest_b = oracle_b.map(|b| b.digest()).unwrap_or_default();
+    let digest_b = oracle_b.as_ref().map(digest_sharded).unwrap_or_default();
     trace!(
         "== RECOVERED ==\n{got}== ORACLE A (acked) ==\n{digest_a}== ORACLE B (acked+in-flight) ==\n{digest_b}"
     );
@@ -871,12 +825,11 @@ fn diverged(seed: u64, what: &str, got: &str, expected: &str) -> SimFailure {
 struct LegalDigests {
     /// `full[k]` = digest of `replay(acked[..k])`; length `acked.len() + 1`.
     full: Vec<String>,
-    /// `per_shard[k][i]` = digest of shard `i` after `replay(acked[..k])`
-    /// (sharded runs only; empty vectors in single topology).
+    /// `per_shard[k][i]` = digest of shard `i` after `replay(acked[..k])`.
     per_shard: Vec<Vec<String>>,
     /// Digest of `replay(acked + [in_flight])`, when it replays.
     ext_full: Option<String>,
-    /// Its per-shard digests (sharded runs only).
+    /// Its per-shard digests.
     ext_per_shard: Option<Vec<String>>,
 }
 
@@ -887,19 +840,27 @@ fn legal_digests(
     seed: u64,
 ) -> Result<LegalDigests, SimFailure> {
     let mut db = fresh(shards, seed)?;
-    let mut full = vec![db.digest()];
-    let mut per_shard = vec![shard_digests(&db)];
+    let mut full = Vec::with_capacity(acked.len() + 1);
+    let mut per_shard = Vec::with_capacity(acked.len() + 1);
+    let mut push = |db: &ShardedDb| {
+        let per = shard_digests(db);
+        full.push(join_digests(&per));
+        per_shard.push(per);
+    };
+    push(&db);
     for sql in acked {
-        db.execute(sql).map_err(|e| SimFailure {
+        execute(&mut db, sql).map_err(|e| SimFailure {
             seed,
             detail: format!("oracle rejected acknowledged statement `{sql}`: {e}"),
         })?;
-        full.push(db.digest());
-        per_shard.push(shard_digests(&db));
+        push(&db);
     }
     // Extending the same oracle in place is exactly replay(acked + [sql]).
     let (ext_full, ext_per_shard) = match in_flight {
-        Some(sql) if db.execute(sql).is_ok() => (Some(db.digest()), Some(shard_digests(&db))),
+        Some(sql) if execute(&mut db, sql).is_ok() => {
+            let per = shard_digests(&db);
+            (Some(join_digests(&per)), Some(per))
+        }
         _ => (None, None),
     };
     Ok(LegalDigests {
@@ -908,13 +869,6 @@ fn legal_digests(
         ext_full,
         ext_per_shard,
     })
-}
-
-fn shard_digests(db: &Db) -> Vec<String> {
-    match db {
-        Db::Single(_) => Vec::new(),
-        Db::Sharded(s) => s.shards().iter().map(digest_single).collect(),
-    }
 }
 
 /// The prefix `k` of the (possibly extended) acknowledged history that
@@ -934,7 +888,7 @@ fn shard_prefix_match(g: &str, i: usize, l: usize, legal: &LegalDigests) -> Opti
 
 /// Bit-rot-mode verification: the salvage open must land on *some prefix*
 /// of the acknowledged history (possibly extended by the in-flight
-/// statement), and its [`SalvageReport`] must name the cut.
+/// statement), and its [`chronicle_db::SalvageReport`] must name the cut.
 ///
 /// The single-topology check is exact: `lsn_map[i]` carries the WAL
 /// high-water lsn observed right after `acked[i]` was acknowledged
@@ -948,7 +902,7 @@ fn shard_prefix_match(g: &str, i: usize, l: usize, legal: &LegalDigests) -> Opti
 /// and halts the schedule when shards land on different prefixes.
 #[allow(clippy::too_many_arguments)]
 fn verify_salvage(
-    db: &Db,
+    db: &ShardedDb,
     fs: &SimFs,
     acked: &mut Vec<String>,
     lsn_map: &mut Vec<u64>,
@@ -957,10 +911,10 @@ fn verify_salvage(
     seed: u64,
     report: &mut SimReport,
 ) -> Result<Verdict, SimFailure> {
-    let got = db.digest();
+    let got = digest_sharded(db);
     let legal = legal_digests(acked, in_flight, shards, seed)?;
     let l = acked.len();
-    let Some(sr) = db.salvage() else {
+    let Some(sr) = db.stats().salvage else {
         return Err(SimFailure {
             seed,
             detail: "a salvage open produced no salvage report".into(),
@@ -1087,13 +1041,10 @@ fn verify_salvage(
             return Ok(Verdict::Continue);
         }
     }
-    let Db::Sharded(real) = db else {
-        unreachable!("sharded run holds a sharded database")
-    };
-    let n = real.shard_count();
+    let n = db.shard_count();
     let mut ks = Vec::with_capacity(n);
     for i in 0..n {
-        let g = digest_single(real.shard(i));
+        let g = digest_single(db.shard(i));
         let Some(k) = shard_prefix_match(&g, i, l, &legal) else {
             return Err(SimFailure {
                 seed,
@@ -1150,23 +1101,13 @@ fn strict_probe(
         ..opts
     };
     let vfs: Arc<dyn Vfs> = Arc::new(forked);
-    let opened = match shards {
-        None => ChronicleDb::open_with_vfs(vfs, root, strict).map(Db::Single),
-        Some(n) => ShardedDb::open_with_vfs(vfs, root, n, strict).map(Db::Sharded),
-    };
-    let Ok(db) = opened else {
+    let Ok(db) = open(vfs, root, strict, shards) else {
         return Ok(()); // refused loudly: exactly what Strict is for
     };
     let legal = legal_digests(acked, in_flight, shards, seed)?;
     let l = acked.len();
-    let ok = match &db {
-        Db::Single(_) => {
-            let got = db.digest();
-            legal.full.contains(&got) || legal.ext_full.as_deref() == Some(got.as_str())
-        }
-        Db::Sharded(real) => (0..real.shard_count())
-            .all(|i| shard_prefix_match(&digest_single(real.shard(i)), i, l, &legal).is_some()),
-    };
+    let ok = (0..db.shard_count())
+        .all(|i| shard_prefix_match(&digest_single(db.shard(i)), i, l, &legal).is_some());
     if ok {
         Ok(())
     } else {
@@ -1192,10 +1133,10 @@ fn is_broadcast(sql: &str) -> bool {
 /// The naive oracle: a fresh in-memory database replaying `history`.
 /// Every statement in an acknowledged history succeeded against the
 /// durable engine, so a replay rejection is itself a correctness signal.
-fn replay(history: &[String], shards: Option<usize>, seed: u64) -> Result<Db, SimFailure> {
+fn replay(history: &[String], shards: Option<usize>, seed: u64) -> Result<ShardedDb, SimFailure> {
     let mut db = fresh(shards, seed)?;
     for sql in history {
-        db.execute(sql).map_err(|e| SimFailure {
+        execute(&mut db, sql).map_err(|e| SimFailure {
             seed,
             detail: format!("oracle rejected acknowledged statement `{sql}`: {e}"),
         })?;
@@ -1205,18 +1146,18 @@ fn replay(history: &[String], shards: Option<usize>, seed: u64) -> Result<Db, Si
 
 /// Oracle replay for a *candidate* history (acked + in-flight): a
 /// rejection just means the candidate is not the branch that survived.
-fn replay_lenient(history: &[String], shards: Option<usize>, seed: u64) -> Option<Db> {
+fn replay_lenient(history: &[String], shards: Option<usize>, seed: u64) -> Option<ShardedDb> {
     let mut db = fresh(shards, seed).ok()?;
     for sql in history {
-        db.execute(sql).ok()?;
+        execute(&mut db, sql).ok()?;
     }
     Some(db)
 }
 
-fn fresh(shards: Option<usize>, seed: u64) -> Result<Db, SimFailure> {
+fn fresh(shards: Option<usize>, seed: u64) -> Result<ShardedDb, SimFailure> {
     match shards {
-        None => Ok(Db::Single(ChronicleDb::new())),
-        Some(n) => ShardedDb::new(n).map(Db::Sharded).map_err(|e| SimFailure {
+        None => Ok(ChronicleDb::new().into()),
+        Some(n) => ShardedDb::new(n).map_err(|e| SimFailure {
             seed,
             detail: format!("building oracle: {e}"),
         }),
@@ -1280,13 +1221,22 @@ fn digest_single(db: &ChronicleDb) -> String {
     out
 }
 
-fn digest_sharded(db: &ShardedDb) -> String {
+fn shard_digests(db: &ShardedDb) -> Vec<String> {
+    db.shards().iter().map(digest_single).collect()
+}
+
+/// The whole-database digest: every shard's, labelled, in shard order.
+fn join_digests(per_shard: &[String]) -> String {
     let mut out = String::new();
-    for (i, shard) in db.shards().iter().enumerate() {
+    for (i, d) in per_shard.iter().enumerate() {
         writeln!(out, "-- shard {i}").expect("string write");
-        out.push_str(&digest_single(shard));
+        out.push_str(d);
     }
     out
+}
+
+fn digest_sharded(db: &ShardedDb) -> String {
+    join_digests(&shard_digests(db))
 }
 
 // ---- replication simulation -----------------------------------------------
@@ -1506,7 +1456,7 @@ pub fn run_replication_seed(
                 // follower must never have applied a record the recovered
                 // leader does not hold (ship-only-flushed, end to end).
                 let got = digest_sharded(&leader);
-                let oracle = replay(&acked, Some(shards), seed)?.digest();
+                let oracle = digest_sharded(&replay(&acked, Some(shards), seed)?);
                 if got != oracle {
                     return Err(diverged(
                         seed,
@@ -1563,7 +1513,7 @@ pub fn run_replication_seed(
             });
         }
     }
-    let got = digest_follower(&follower);
+    let got = digest_sharded(follower.db());
     let want = digest_sharded(&leader);
     if got != want {
         return Err(diverged(
@@ -1758,7 +1708,7 @@ fn verify_follower_prefix(
     let legal = legal_digests(acked, None, Some(shards), seed)?;
     let l = acked.len();
     for i in 0..shards {
-        let g = digest_single(follower.shard(i));
+        let g = digest_single(follower.db().shard(i));
         if shard_prefix_match(&g, i, l, &legal).is_none() {
             return Err(SimFailure {
                 seed,
@@ -1770,15 +1720,6 @@ fn verify_follower_prefix(
         }
     }
     Ok(())
-}
-
-fn digest_follower(f: &FollowerDb) -> String {
-    let mut out = String::new();
-    for i in 0..f.shard_count() {
-        writeln!(out, "-- shard {i}").expect("string write");
-        out.push_str(&digest_single(f.shard(i)));
-    }
-    out
 }
 
 // ---- failover simulation --------------------------------------------------
@@ -2126,7 +2067,7 @@ pub fn run_failover_seed(
     // oracle over the surviving lineage, and the follower converges to
     // the leader byte-for-byte with zero lag.
     let got = digest_sharded(&nodes.leader);
-    let oracle = replay(&lineage, Some(shards), seed)?.digest();
+    let oracle = digest_sharded(&replay(&lineage, Some(shards), seed)?);
     if got != oracle {
         return Err(diverged(
             seed,
@@ -2136,7 +2077,7 @@ pub fn run_failover_seed(
         ));
     }
     catch_up(&mut nodes, shards, &mut rng, seed, &mut ship)?;
-    let fgot = digest_follower(&nodes.follower);
+    let fgot = digest_sharded(nodes.follower.db());
     if fgot != got {
         return Err(diverged(
             seed,
@@ -2195,7 +2136,7 @@ fn issue(
 fn ack_sweep(follower: &FollowerDb, clients: &mut [SimClient], report: &mut FailoverReport) {
     for c in clients.iter_mut() {
         if let Some((seq, _)) = c.pending {
-            if follower.session_last_seq(c.session) >= Some(seq) {
+            if follower.db().session_last_seq(c.session) >= Some(seq) {
                 let (seq, sql) = c.pending.take().expect("just matched");
                 trace!("TRACE ack session={} seq={}", c.session, seq);
                 c.acked_seq = seq;
@@ -2387,7 +2328,7 @@ fn promote_and_redirect(
 
     // The promoted leader is exactly the surviving lineage, once each.
     let got = digest_sharded(&leader);
-    let oracle = replay(lineage, Some(shards), seed)?.digest();
+    let oracle = digest_sharded(&replay(lineage, Some(shards), seed)?);
     if got != oracle {
         return Err(diverged(
             seed,
@@ -2468,12 +2409,12 @@ fn promote_and_redirect(
         froot,
     };
     catch_up(&mut nodes, shards, rng, seed, ship)?;
-    if nodes.follower.term() != nodes.leader.term() {
+    if nodes.follower.db().term() != nodes.leader.term() {
         return Err(SimFailure {
             seed,
             detail: format!(
                 "caught-up follower replayed term {} but the promoted leader serves term {}",
-                nodes.follower.term(),
+                nodes.follower.db().term(),
                 nodes.leader.term()
             ),
         });

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use chronicle::db::pipeline::Pipeline;
+use chronicle::db::pipeline::ShardedPipeline;
 use chronicle::prelude::*;
 use chronicle::workload::AtmGen;
 
@@ -22,7 +22,7 @@ fn banking() -> ChronicleDb {
 
 #[test]
 fn eight_producers_exact_balances() {
-    let pipeline = Pipeline::start(banking(), 256);
+    let pipeline = ShardedPipeline::start(banking().into(), 256);
     let mut joins = Vec::new();
     for p in 0..8u64 {
         let h = pipeline.handle();
@@ -72,9 +72,9 @@ fn eight_producers_exact_balances() {
         assert_eq!(row.get(2).as_int().unwrap(), n, "count mismatch for {acct}");
     }
     // Sequence numbers were allocated without gaps or duplicates.
-    let atm = db.catalog().chronicle_id("atm").unwrap();
-    let mut seqs: Vec<u64> = db
-        .catalog()
+    let catalog = db.shard(0).catalog();
+    let atm = catalog.chronicle_id("atm").unwrap();
+    let mut seqs: Vec<u64> = catalog
         .chronicle(atm)
         .scan_all()
         .unwrap()
@@ -98,7 +98,7 @@ fn queries_during_ingest_see_consistent_prefixes() {
          FROM atm GROUP BY acct",
     )
     .unwrap();
-    let pipeline = Pipeline::start(db, 64);
+    let pipeline = ShardedPipeline::start(db.into(), 64);
     let writer = {
         let h = pipeline.handle();
         std::thread::spawn(move || {
@@ -143,7 +143,7 @@ fn queries_during_ingest_see_consistent_prefixes() {
 fn pipeline_backpressure_does_not_deadlock() {
     // Capacity 1 forces producers to block on the channel; everything still
     // drains.
-    let pipeline = Pipeline::start(banking(), 1);
+    let pipeline = ShardedPipeline::start(banking().into(), 1);
     let mut joins = Vec::new();
     for _ in 0..4 {
         let h = pipeline.handle();
@@ -167,7 +167,7 @@ fn pipeline_backpressure_does_not_deadlock() {
 
 #[test]
 fn errors_propagate_to_the_right_producer() {
-    let pipeline = Pipeline::start(banking(), 16);
+    let pipeline = ShardedPipeline::start(banking().into(), 16);
     let good = pipeline.handle();
     let bad = pipeline.handle();
     let g = std::thread::spawn(move || {

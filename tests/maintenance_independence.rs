@@ -401,35 +401,45 @@ prop_test! {
                 .unwrap();
         }
 
-        // Sharded run: same DDL, appends fanned out by one producer
-        // thread per group through the sharded pipeline.
-        let mut sharded = ShardedDb::new(shard_count()).unwrap();
-        for stmt in sharded_prop_ddl() {
-            sharded.execute(&stmt).unwrap();
-        }
-        let pipeline = ShardedPipeline::start(sharded, 8);
-        let handle = pipeline.handle();
-        std::thread::scope(|scope| {
-            for g in 0..GROUPS {
-                let handle = handle.clone();
-                let ops = &ops;
-                scope.spawn(move || {
-                    for (og, acct, amount, at) in ops.iter().filter(|(og, ..)| *og == g) {
-                        handle
-                            .append(
-                                &format!("c{og}"),
-                                Chronon(*at),
-                                vec![vec![Value::Int(*acct), Value::Float(*amount)]],
-                            )
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        let sharded = pipeline.shutdown();
-
         let mut expect = reference.snapshot_views();
         expect.sort();
-        prop_assert_eq!(sharded.snapshot_views(), expect);
+
+        // Sharded runs: same DDL, appends fanned out by one producer
+        // thread per group through the sharded pipeline — against the
+        // hash-partitioned engine, and against "one shard via `From`",
+        // the single engine wrapped (the wrap must be invisible).
+        let partitioned = ShardedDb::new(shard_count()).unwrap();
+        let wrapped = ShardedDb::from(ChronicleDb::new());
+        for mut sharded in [partitioned, wrapped] {
+            for stmt in sharded_prop_ddl() {
+                sharded.execute(&stmt).unwrap();
+            }
+            let pipeline = ShardedPipeline::start(sharded, 8);
+            let handle = pipeline.handle();
+            std::thread::scope(|scope| {
+                for g in 0..GROUPS {
+                    let handle = handle.clone();
+                    let ops = &ops;
+                    scope.spawn(move || {
+                        for (og, acct, amount, at) in ops.iter().filter(|(og, ..)| *og == g) {
+                            handle
+                                .append(
+                                    &format!("c{og}"),
+                                    Chronon(*at),
+                                    vec![vec![Value::Int(*acct), Value::Float(*amount)]],
+                                )
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            let sharded = pipeline.shutdown();
+
+            prop_assert_eq!(sharded.snapshot_views(), expect.clone());
+            let (got, want) = (sharded.stats(), reference.stats());
+            prop_assert_eq!(got.work, want.work);
+            prop_assert_eq!(got.appends, want.appends);
+            prop_assert_eq!(got.tuples_appended, want.tuples_appended);
+        }
     }
 }

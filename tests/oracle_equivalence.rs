@@ -559,16 +559,25 @@ prop_test! {
         for stmt in zset_ddl() {
             sharded.execute(stmt).unwrap();
         }
+        // "One shard via `From`": the single engine wrapped. The wrap
+        // must be invisible down to the work counters.
+        let mut wrapped = ShardedDb::from(build_zset_db());
         let mut now = 0i64;
         for op in &ops {
             let (sql, t) = dml_sql(&reference, op, now);
             now = t;
             reference.execute(&sql).unwrap();
             sharded.execute(&sql).unwrap();
+            wrapped.execute(&sql).unwrap();
         }
         let mut expect = reference.snapshot_views();
         expect.sort();
-        prop_assert_eq!(sharded.snapshot_views(), expect);
+        prop_assert_eq!(sharded.snapshot_views(), expect.clone());
+        prop_assert_eq!(wrapped.snapshot_views(), expect);
+        let (got, want) = (wrapped.stats(), reference.stats());
+        prop_assert_eq!(got.work, want.work);
+        prop_assert_eq!(got.appends, want.appends);
+        prop_assert_eq!(got.relation_changes, want.relation_changes);
     }
 }
 
@@ -947,22 +956,7 @@ fn vectorized_and_scalar_checkpoints_are_byte_identical() {
             }
             db.checkpoint().unwrap();
         }
-        // Collect every durable artifact, keyed by path relative to the
-        // database root.
-        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut stack = vec![tmp.path().to_path_buf()];
-        while let Some(dir) = stack.pop() {
-            for entry in std::fs::read_dir(&dir).unwrap() {
-                let p = entry.unwrap().path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else {
-                    let rel = p.strip_prefix(tmp.path()).unwrap();
-                    files.push((rel.display().to_string(), std::fs::read(&p).unwrap()));
-                }
-            }
-        }
-        files.sort();
+        let files = durable_files(tmp.path());
         let db = ChronicleDb::open(tmp.path()).unwrap();
         (files, db.snapshot_views())
     };
@@ -977,6 +971,83 @@ fn vectorized_and_scalar_checkpoints_are_byte_identical() {
         assert_eq!(v, s, "durable artifact `{name}` differs between modes");
     }
     assert_eq!(vec_views, sca_views, "restored view state differs");
+}
+
+/// Every durable artifact under `root`, keyed by path relative to it.
+fn durable_files(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+            } else {
+                let rel = p.strip_prefix(root).unwrap();
+                files.push((rel.display().to_string(), std::fs::read(&p).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The one-shard wrap is invisible on disk: a durable engine driven
+/// through `ShardedDb::from(db)` — DDL, SQL and batched appends, a
+/// checkpoint, more appends — leaves WAL and checkpoint files
+/// byte-identical to the unwrapped [`ChronicleDb`] (no `SHARDS` manifest,
+/// no `shard-000/`), and reopens unwrapped to the same view state.
+#[test]
+fn wrapped_single_engine_leaves_byte_identical_files() {
+    fn rows(s: i64) -> Vec<Vec<Value>> {
+        (0..24)
+            .map(|i| vec![Value::Int(i % 5), Value::Float(s as f64 + i as f64 / 2.0)])
+            .collect()
+    }
+    let plain_dir = TempDir::new("wrap-plain");
+    let wrapped_dir = TempDir::new("wrap-from");
+    {
+        let mut plain = ChronicleDb::open(plain_dir.path()).unwrap();
+        let mut wrapped = ShardedDb::from(ChronicleDb::open(wrapped_dir.path()).unwrap());
+        for stmt in zset_ddl() {
+            plain.execute(stmt).unwrap();
+            wrapped.execute(stmt).unwrap();
+        }
+        for s in 1..=6i64 {
+            plain.append("trades", Chronon(s), &rows(s)).unwrap();
+            wrapped.append("trades", Chronon(s), &rows(s)).unwrap();
+            let sql = format!("APPEND INTO trades AT {s} VALUES ({}, 1.5)", s % 5);
+            plain.execute(&sql).unwrap();
+            wrapped.execute(&sql).unwrap();
+            if s == 4 {
+                plain.checkpoint().unwrap();
+                wrapped.checkpoint().unwrap();
+            }
+        }
+        assert_eq!(wrapped.stats().work, plain.stats().work);
+        assert_eq!(wrapped.stats().wal_bytes, plain.stats().wal_bytes);
+    }
+    let (plain_files, wrapped_files) = (
+        durable_files(plain_dir.path()),
+        durable_files(wrapped_dir.path()),
+    );
+    assert!(!plain_files.is_empty());
+    assert_eq!(
+        plain_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        wrapped_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        "durable file sets differ"
+    );
+    for ((name, p), (_, w)) in plain_files.iter().zip(&wrapped_files) {
+        assert_eq!(p, w, "durable artifact `{name}` differs under the wrap");
+    }
+    assert_eq!(
+        ChronicleDb::open(wrapped_dir.path())
+            .unwrap()
+            .snapshot_views(),
+        ChronicleDb::open(plain_dir.path())
+            .unwrap()
+            .snapshot_views(),
+    );
 }
 
 /// The mutation gate: with the kernels enabled, a vectorizable view over
