@@ -927,7 +927,7 @@ mod tests {
     fn aggregate_group_weighted_matches_expansion() {
         let r = rows();
         let weighted: Vec<(&Tuple, i64)> = vec![(&r[0], 2), (&r[1], 1)];
-        let expanded = vec![r[0].clone(), r[0].clone(), r[1].clone()];
+        let expanded = [r[0].clone(), r[0].clone(), r[1].clone()];
         let refs: Vec<&Tuple> = expanded.iter().collect();
         let funcs = [AggFunc::CountStar, AggFunc::Sum(0), AggFunc::Avg(1)];
         assert_eq!(

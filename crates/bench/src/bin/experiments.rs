@@ -1,16 +1,14 @@
-//! Regenerate every derived figure (E1–E12) and print the tables that
-//! EXPERIMENTS.md records.
+//! Regenerate every derived figure of the theorem-shape record.
 //!
 //! Usage: `cargo run -p chronicle-bench --release --bin experiments [quick] [json] [E..]`
-//! — `quick` runs the reduced (scale 0) sweeps; `json` skips the text
-//! tables and instead writes the machine-readable `BENCH_E11.json`,
-//! `BENCH_E14.json`, `BENCH_E15.json`, `BENCH_E16.json`,
-//! `BENCH_E17.json`, `BENCH_E18.json`, and `BENCH_E19.json` artifacts at
-//! the repo root. Naming experiments (e.g. `json E19`) restricts the
-//! emission to those artifacts.
+//! — prints every figure as the text table EXPERIMENTS.md records;
+//! `quick` runs the reduced (scale 0) sweeps; `json` skips the tables and
+//! instead writes one `BENCH_<E..>.json` record per experiment at the repo
+//! root. Naming experiments (e.g. `json E19`) restricts the run to them.
+//! Every figure is deterministic, so a regenerated record is byte-equal
+//! to the committed one.
 
-use chronicle_bench::experiments as ex;
-use chronicle_bench::harness::Figure;
+use chronicle_bench::experiments::ALL;
 use chronicle_bench::json;
 
 fn main() {
@@ -21,96 +19,23 @@ fn main() {
         .filter(|a| a.starts_with('E'))
         .collect();
     let scale: u32 = if quick { 0 } else { 1 };
-    if json_mode {
-        emit_json(scale, &only);
-        return;
+    if !json_mode {
+        println!("# Chronicle data model — derived experiments (scale {scale})\n");
     }
-    println!("# Chronicle data model — derived experiments (scale {scale})\n");
-
-    for f in run_all(scale) {
-        println!("{}", f.render());
+    for (id, run) in ALL {
+        if !only.is_empty() && !only.iter().any(|o| o == id) {
+            continue;
+        }
+        eprintln!("[{id}]...");
+        let figures = run(scale);
+        if json_mode {
+            let path = json::emit(id, scale, &figures)
+                .unwrap_or_else(|e| panic!("write BENCH_{id}.json: {e}"));
+            println!("wrote {}", path.display());
+        } else {
+            for f in &figures {
+                println!("{}", f.render());
+            }
+        }
     }
-}
-
-/// Emit the machine-readable artifacts regression tooling diffs:
-/// E11 (throughput/latency), E14 (recovery), E15 (sharding),
-/// E16 (replication catch-up), E17 (vectorized kernels), E18 (skew),
-/// E19 (failover). An `only` list restricts emission to those names.
-fn emit_json(scale: u32, only: &[String]) {
-    let wanted = |name: &str| only.is_empty() || only.iter().any(|o| o == name);
-    if wanted("E11") {
-        eprintln!("[E11] throughput & latency...");
-        let (a, b) = ex::e11_throughput(scale);
-        let p = json::emit("E11", scale, &[a, b]).expect("write BENCH_E11.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E14") {
-        eprintln!("[E14] recovery...");
-        let f = ex::e14_recovery(scale);
-        let p = json::emit("E14", scale, &[f]).expect("write BENCH_E14.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E15") {
-        eprintln!("[E15] sharding...");
-        let f = ex::e15_sharding(scale);
-        let p = json::emit("E15", scale, &[f]).expect("write BENCH_E15.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E16") {
-        eprintln!("[E16] replication...");
-        let f = ex::e16_replication(scale);
-        let p = json::emit("E16", scale, &[f]).expect("write BENCH_E16.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E17") {
-        eprintln!("[E17] vectorized kernels...");
-        let f = ex::e17_batch_kernels(scale);
-        let p = json::emit("E17", scale, &[f]).expect("write BENCH_E17.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E18") {
-        eprintln!("[E18] skew-resilient sharding...");
-        let f = ex::e18_zipf_skew(scale);
-        let p = json::emit("E18", scale, &[f]).expect("write BENCH_E18.json");
-        println!("wrote {}", p.display());
-    }
-    if wanted("E19") {
-        eprintln!("[E19] leader failover...");
-        let f = ex::e19_failover(scale);
-        let p = json::emit("E19", scale, &[f]).expect("write BENCH_E19.json");
-        println!("wrote {}", p.display());
-    }
-}
-
-fn run_all(scale: u32) -> Vec<Figure> {
-    let mut figs = Vec::new();
-    eprintln!("[E1] chronicle-size sweep...");
-    figs.push(ex::e1_chronicle_size(scale));
-    eprintln!("[E2] CA cost model...");
-    figs.push(ex::e2_ca_cost(scale));
-    eprintln!("[E3] key join vs product...");
-    figs.push(ex::e3_keyjoin_vs_product(scale));
-    eprintln!("[E4] CA1 constant...");
-    figs.push(ex::e4_ca1_constant(scale));
-    eprintln!("[E5] SCA apply...");
-    let (a, b) = ex::e5_sca_apply(scale);
-    figs.push(a);
-    figs.push(b);
-    eprintln!("[E6] class separation...");
-    figs.push(ex::e6_class_separation(scale));
-    eprintln!("[E7] maximality...");
-    figs.push(ex::e7_maximality(scale));
-    eprintln!("[E8] sliding windows...");
-    figs.push(ex::e8_sliding_window(scale));
-    eprintln!("[E9] router...");
-    figs.push(ex::e9_router(scale));
-    eprintln!("[E10] tiered discounts...");
-    figs.push(ex::e10_tiered(scale));
-    eprintln!("[E11] throughput & latency...");
-    let (a, b) = ex::e11_throughput(scale);
-    figs.push(a);
-    figs.push(b);
-    eprintln!("[E12] proactive updates...");
-    figs.push(ex::e12_proactive(scale));
-    figs
 }

@@ -1,15 +1,19 @@
-//! The twelve derived experiments E1–E12 (DESIGN.md §6).
+//! The derived experiments (DESIGN.md §6): E1–E10 and E12 for the
+//! paper's theorems and claims, E14–E16 and E18–E19 for the durability,
+//! sharding, replication, placement and failover layers.
 //!
 //! Each function builds its own database, runs its sweep, and returns one
-//! or more [`Figure`]s. The `experiments` binary renders them; the
-//! Criterion benches reuse the same builders with reduced parameter sets.
-//! A `scale` argument (1 = full) shrinks sweeps for quick runs and tests.
+//! or more [`Figure`]s; [`ALL`] lists them by id for the `experiments`
+//! binary. Every series is a deterministic quantity — work counters,
+//! bytes, record counts, moves, agreement flags — never a clock reading,
+//! so a figure is a pure function of the code and the `scale` argument
+//! (1 = full, 0 = the reduced sweeps the tests run).
 
 use chronicle_algebra::delta::{DeltaBatch, DeltaEngine};
 use chronicle_algebra::{
     AggFunc, AggSpec, CaExpr, CmpOp, Predicate, RelationRef, ScaExpr, WorkCounter,
 };
-use chronicle_db::baseline::{NaiveRecomputeView, ProceduralSummary, StoredThetaJoinCount};
+use chronicle_db::baseline::{NaiveRecomputeView, StoredThetaJoinCount};
 use chronicle_db::pipeline::ShardedPipeline;
 use chronicle_db::{shard_of_group, ChronicleDb, DurabilityOptions, FollowerDb, ShardedDb};
 use chronicle_net::{ShipEvent, Shipper, WalSource, DEFAULT_CHUNK};
@@ -17,12 +21,39 @@ use chronicle_store::{Catalog, Retention};
 use chronicle_testkit::{SeedableRng, SmallRng, TempDir, Zipf};
 use chronicle_types::{AttrType, Attribute, ChronicleId, Chronon, Schema, SeqNo, Tuple, Value};
 use chronicle_views::{
-    AppendEvent, BatchDiscount, BatchMode, Calendar, Maintainer, PeriodicViewSet, RouteMode,
-    SlidingWindow, TierSchedule,
+    AppendEvent, BatchDiscount, Calendar, Maintainer, PeriodicViewSet, RouteMode, SlidingWindow,
+    TierSchedule,
 };
 use chronicle_workload::{AtmGen, CallGen, TradeGen};
 
-use crate::harness::{time_per_iter, Figure, Series};
+use crate::harness::{Figure, Series};
+
+/// One experiment of the record: its id (the `BENCH_<id>.json` name) and
+/// the sweep that produces its figures at a given scale.
+pub type Experiment = (&'static str, fn(u32) -> Vec<Figure>);
+
+/// Every experiment in the record, in id order.
+pub const ALL: &[Experiment] = &[
+    ("E1", |s| vec![e1_chronicle_size(s)]),
+    ("E2", |s| vec![e2_ca_cost(s)]),
+    ("E3", |s| vec![e3_keyjoin_vs_product(s)]),
+    ("E4", |s| vec![e4_ca1_constant(s)]),
+    ("E5", |s| {
+        let (v, t) = e5_sca_apply(s);
+        vec![v, t]
+    }),
+    ("E6", |s| vec![e6_class_separation(s)]),
+    ("E7", |s| vec![e7_maximality(s)]),
+    ("E8", |s| vec![e8_sliding_window(s)]),
+    ("E9", |s| vec![e9_router(s)]),
+    ("E10", |s| vec![e10_tiered(s)]),
+    ("E12", |s| vec![e12_proactive(s)]),
+    ("E14", |s| vec![e14_recovery(s)]),
+    ("E15", |s| vec![e15_sharding(s)]),
+    ("E16", |s| vec![e16_replication(s)]),
+    ("E18", |s| vec![e18_zipf_skew(s)]),
+    ("E19", |s| vec![e19_failover(s)]),
+];
 
 /// Standard call-record chronicle schema used by several experiments.
 fn call_schema() -> Schema {
@@ -94,8 +125,6 @@ pub fn e1_chronicle_size(scale: u32) -> Figure {
     );
     fig.note("SCA view: SELECT acct, SUM(amount) GROUP BY acct over the atm chronicle.");
     fig.note("expected: naive recompute grows ~linearly in |C|; SCA flat and independent of |C|.");
-    let mut sca_time = Series::new("SCA time (ns)");
-    let mut naive_time = Series::new("naive recompute time (ns)");
     let mut sca_work = Series::new("SCA tuples touched");
     let mut naive_work = Series::new("naive tuples read");
 
@@ -117,7 +146,7 @@ pub fn e1_chronicle_size(scale: u32) -> Figure {
             )
             .expect("append");
         }
-        let before = db.stats().clone();
+        let before = db.stats().work.total();
         let probes = 200usize;
         for i in 0..probes {
             let row = gen.next_row();
@@ -128,10 +157,7 @@ pub fn e1_chronicle_size(scale: u32) -> Figure {
             )
             .expect("append");
         }
-        let after = db.stats();
-        let dt = (after.maintenance_nanos - before.maintenance_nanos) as f64 / probes as f64;
-        let dw = (after.work.total() - before.work.total()) as f64 / probes as f64;
-        sca_time.push(n as f64, dt);
+        let dw = (db.stats().work.total() - before) as f64 / probes as f64;
         sca_work.push(n as f64, dw);
 
         // Naive database: must store everything and recompute per append.
@@ -172,15 +198,10 @@ pub fn e1_chronicle_size(scale: u32) -> Figure {
         )
         .expect("in language");
         let mut naive = NaiveRecomputeView::new(expr);
-        // Measure a handful of refreshes (each O(|C|)).
-        let refreshes = if n >= 100_000 { 3 } else { 10 };
-        let t = time_per_iter(refreshes, || {
-            naive.refresh(&cat).expect("stored");
-        });
-        naive_time.push(n as f64, t);
+        naive.refresh(&cat).expect("stored");
         naive_work.push(n as f64, naive.last_read as f64);
     }
-    fig.series = vec![sca_time, naive_time, sca_work, naive_work];
+    fig.series = vec![sca_work, naive_work];
     fig
 }
 
@@ -261,10 +282,9 @@ pub fn e3_keyjoin_vs_product(scale: u32) -> Figure {
         "per-append cost",
     );
     fig.note(
-        "expected: product work ~|R| and time ~linear; key-join work flat (1 probe), time ~log|R|.",
+        "expected: product work ~|R|; key-join work flat (1 probe, itself O(log|R|) in the \
+         ordered index — the model charges a probe as one unit).",
     );
-    let mut join_time = Series::new("key join time (ns)");
-    let mut prod_time = Series::new("product time (ns)");
     let mut join_work = Series::new("key join work");
     let mut prod_work = Series::new("product work");
     for &r in &sizes {
@@ -286,32 +306,23 @@ pub fn e3_keyjoin_vs_product(scale: u32) -> Figure {
         )
         .expect("in language");
         let engine = DeltaEngine::new(&cat);
-        let mut seq = 0u64;
-        let mut batch = || {
-            seq += 1;
-            DeltaBatch {
-                chronicle: c,
-                seq: SeqNo(seq),
-                tuples: vec![call_tuple(seq, (seq % r as u64) as i64, 1.0)],
-            }
+        let batch = |seq: u64| DeltaBatch {
+            chronicle: c,
+            seq: SeqNo(seq),
+            tuples: vec![call_tuple(seq, (seq % r as u64) as i64, 1.0)],
         };
         let mut wj = WorkCounter::default();
-        let b = batch();
-        let tj = time_per_iter(200, || {
-            engine.delta_sca(&join_expr, &b, &mut wj).expect("delta");
-        });
+        engine
+            .delta_sca(&join_expr, &batch(1), &mut wj)
+            .expect("delta");
         let mut wp = WorkCounter::default();
-        let b = batch();
-        let iters = if r >= 100_000 { 5 } else { 50 };
-        let tp = time_per_iter(iters, || {
-            engine.delta_sca(&prod_expr, &b, &mut wp).expect("delta");
-        });
-        join_time.push(r as f64, tj);
-        prod_time.push(r as f64, tp);
-        join_work.push(r as f64, wj.total() as f64 / 200.0);
-        prod_work.push(r as f64, wp.total() as f64 / iters as f64);
+        engine
+            .delta_sca(&prod_expr, &batch(2), &mut wp)
+            .expect("delta");
+        join_work.push(r as f64, wj.total() as f64);
+        prod_work.push(r as f64, wp.total() as f64);
     }
-    fig.series = vec![join_time, prod_time, join_work, prod_work];
+    fig.series = vec![join_work, prod_work];
     fig
 }
 
@@ -379,12 +390,16 @@ pub fn e5_sca_apply(scale: u32) -> (Figure, Figure) {
         _ => vec![1_000, 10_000, 100_000, 1_000_000],
     };
     let mut fig_v = Figure::new(
-        "E5a — apply time vs view size |V| (Thm 4.4)",
+        "E5a — apply work vs view size |V| (Thm 4.4)",
         "|V| (groups)",
-        "apply time per batch (ns)",
+        "apply work per tuple",
     );
-    fig_v.note("expected: logarithmic growth (ordered-index probe per group).");
-    let mut t_series = Series::new("apply time (ns)");
+    fig_v.note(
+        "expected: flat — one group probe per tuple. The model charges a probe as one unit, \
+         so the log|V| factor of Thm 4.4 is a property of the ordered index (BTreeMap) and \
+         is not counted here.",
+    );
+    let mut w_series = Series::new("apply work per tuple");
     for &v in &sizes {
         let (cat, c, _) = call_catalog(Retention::None, 0);
         let expr = ScaExpr::group_agg(
@@ -407,9 +422,10 @@ pub fn e5_sca_apply(scale: u32) -> (Figure, Figure) {
             };
             maintainer.on_append(&cat, &ev).expect("maintain");
         }
-        // Probe: batches hitting one existing group.
-        let iters = 300usize;
-        let t = time_per_iter(iters, || {
+        // Probe: one-tuple batches, each hitting one existing group.
+        let probes = 300usize;
+        let mut work = 0u64;
+        for _ in 0..probes {
             seq += 1;
             let ev = AppendEvent {
                 chronicle: c,
@@ -417,11 +433,12 @@ pub fn e5_sca_apply(scale: u32) -> (Figure, Figure) {
                 chronon: Chronon(seq as i64),
                 tuples: vec![call_tuple(seq, (seq % v as u64) as i64, 1.0)],
             };
-            maintainer.on_append(&cat, &ev).expect("maintain");
-        });
-        t_series.push(v as f64, t);
+            let report = maintainer.on_append(&cat, &ev).expect("maintain");
+            work += report.total_work.total();
+        }
+        w_series.push(v as f64, work as f64 / probes as f64);
     }
-    fig_v.series.push(t_series);
+    fig_v.series.push(w_series);
 
     let mut fig_t = Figure::new(
         "E5b — apply work vs batch size t (Thm 4.4)",
@@ -475,7 +492,6 @@ pub fn e6_class_separation(scale: u32) -> Figure {
     let mut s1 = Series::new("SCA₁ work");
     let mut sk = Series::new("SCA⋈ work");
     let mut sp = Series::new("SCA (product) work");
-    let mut sk_t = Series::new("SCA⋈ time (ns)");
     for &r in &sizes {
         let (cat, c, rel) = call_catalog(Retention::None, r);
         let base = CaExpr::chronicle(cat.chronicle(c));
@@ -517,13 +533,8 @@ pub fn e6_class_separation(scale: u32) -> Figure {
         s1.push(r as f64, w1.total() as f64);
         sk.push(r as f64, wk.total() as f64);
         sp.push(r as f64, wp.total() as f64);
-        let tk = time_per_iter(500, || {
-            let mut w = WorkCounter::default();
-            engine.delta_sca(&vk, &b, &mut w).expect("delta");
-        });
-        sk_t.push(r as f64, tk);
     }
-    fig.series = vec![s1, sk, sp, sk_t];
+    fig.series = vec![s1, sk, sp];
     fig
 }
 
@@ -613,25 +624,30 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
     let mut fig = Figure::new(
         "E8 — 30-day-style moving sum: per-append cost vs window width w (§5.1)",
         "w (buckets)",
-        "per-append cost",
+        "per-append work",
     );
-    fig.note("expected: cyclic buffer flat in w; per-window periodic views ~w; naive recompute ~tuples-in-window.");
-    let mut cyclic = Series::new("cyclic buffer time (ns)");
-    let mut periodic = Series::new("periodic-views time (ns)");
-    let mut naive = Series::new("naive window recompute time (ns)");
+    fig.note(
+        "expected: cyclic buffer bounded independent of w (one fold plus the buckets a key's ring \
+         slides since its last trade — about the 8-symbol inter-arrival gap, capped at w); \
+         per-window periodic views ~w; naive recompute ~tuples-in-window.",
+    );
+    let mut cyclic = Series::new("cyclic buffer accumulator updates+retractions");
+    let mut periodic = Series::new("periodic-views work");
+    let mut naive = Series::new("naive window recompute tuples summed");
     for &w in &widths {
         // (a) cyclic buffer.
         let mut gen = TradeGen::new(7);
         let mut win =
             SlidingWindow::new(Chronon(0), w, 1, vec![0], vec![AggFunc::Sum(1)]).expect("valid");
-        let mut i = 0i64;
-        let t_cyc = time_per_iter(appends, || {
+        for i in 0..appends {
             let row = gen.next_row();
             let t = Tuple::new(vec![row[0].clone(), row[1].clone()]);
-            win.insert(Chronon(i), &t).expect("monotone");
-            i += 1;
-        });
-        cyclic.push(w as f64, t_cyc);
+            win.insert(Chronon(i as i64), &t).expect("monotone");
+        }
+        cyclic.push(
+            w as f64,
+            (win.updates() + win.retractions()) as f64 / appends as f64,
+        );
 
         // (b) periodic family over a sliding calendar (each append fans out
         // to w windows).
@@ -658,10 +674,9 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
         let cal = Calendar::sliding(Chronon(0), w as i64, 1).expect("valid");
         let mut set = PeriodicViewSet::new("win", expr, cal, Some(0));
         let mut gen = TradeGen::new(7);
-        let mut seq = 0u64;
-        let per_iters = appends.min(1_000);
-        let t_per = time_per_iter(per_iters, || {
-            seq += 1;
+        let per_appends = appends.min(1_000);
+        let mut wk = WorkCounter::default();
+        for seq in 1..=per_appends as u64 {
             let row = gen.next_row();
             let ev = AppendEvent {
                 chronicle: c,
@@ -673,30 +688,22 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
                     row[1].clone(),
                 ])],
             };
-            let mut wk = WorkCounter::default();
             set.on_append(&cat, &ev, &mut wk).expect("maintain");
-        });
-        periodic.push(w as f64, t_per);
+        }
+        periodic.push(w as f64, wk.total() as f64 / per_appends as f64);
 
-        // (c) naive: store the window, recompute the moving sum on demand.
-        let mut stored: std::collections::VecDeque<(i64, i64)> = Default::default();
-        let mut gen = TradeGen::new(7);
-        let mut i = 0i64;
-        let t_naive = time_per_iter(appends, || {
-            let row = gen.next_row();
-            stored.push_back((i, row[1].as_int().expect("shares")));
-            while let Some(&(t0, _)) = stored.front() {
-                if t0 <= i - w as i64 {
-                    stored.pop_front();
-                } else {
-                    break;
-                }
+        // (c) naive: store the window (one tuple per chronon), re-sum all
+        // of it on every append — the "query each append" pattern.
+        let mut stored: std::collections::VecDeque<i64> = Default::default();
+        let mut summed = 0usize;
+        for i in 0..appends as i64 {
+            stored.push_back(i);
+            while stored.front().is_some_and(|&t0| t0 <= i - w as i64) {
+                stored.pop_front();
             }
-            // The "query each append" pattern: sum the whole window.
-            let _sum: i64 = std::hint::black_box(stored.iter().map(|&(_, s)| s).sum());
-            i += 1;
-        });
-        naive.push(w as f64, t_naive);
+            summed += stored.len();
+        }
+        naive.push(w as f64, summed as f64 / appends as f64);
     }
     fig.series = vec![cyclic, periodic, naive];
     fig
@@ -712,14 +719,16 @@ pub fn e9_router(scale: u32) -> Figure {
         _ => vec![16, 128, 1_024, 4_096],
     };
     let mut fig = Figure::new(
-        "E9 — affected-view routing: per-append time vs registered views (§5.2)",
+        "E9 — affected-view routing: per-append work vs registered views (§5.2)",
         "registered views",
-        "per-append time (ns)",
+        "per-append maintenance",
     );
     fig.note("each view guards one caller id; an append matches exactly one view.");
-    fig.note("expected: routed cost ≪ scan-all cost as views grow (guard eval is cheap; delta propagation is not free).");
-    let mut routed = Series::new("routed (ns)");
-    let mut scan_all = Series::new("scan-all (ns)");
+    fig.note("expected: routed work and views maintained flat (1 view); scan-all both ~k (every view propagates its empty delta).");
+    let mut routed = Series::new("routed work");
+    let mut scan_all = Series::new("scan-all work");
+    let mut routed_views = Series::new("routed views maintained");
+    let mut scan_all_views = Series::new("scan-all views maintained");
     for &k in &counts {
         for mode in [RouteMode::Routed, RouteMode::ScanAll] {
             let (cat, c, _) = call_catalog(Retention::None, 0);
@@ -742,25 +751,28 @@ pub fn e9_router(scale: u32) -> Figure {
                 .expect("in language");
                 maintainer.register(&format!("v{i}"), expr).expect("fresh");
             }
-            let mut seq = 0u64;
-            let iters = if k >= 1024 { 200 } else { 500 };
-            let t = time_per_iter(iters, || {
-                seq += 1;
+            let appends = if k >= 1024 { 200 } else { 500 };
+            let (mut work, mut views) = (0u64, 0usize);
+            for seq in 1..=appends as u64 {
                 let ev = AppendEvent {
                     chronicle: c,
                     seq: SeqNo(seq),
                     chronon: Chronon(seq as i64),
                     tuples: vec![call_tuple(seq, (seq % k as u64) as i64, 1.0)],
                 };
-                maintainer.on_append(&cat, &ev).expect("maintain");
-            });
-            match mode {
-                RouteMode::Routed => routed.push(k as f64, t),
-                RouteMode::ScanAll => scan_all.push(k as f64, t),
+                let report = maintainer.on_append(&cat, &ev).expect("maintain");
+                work += report.total_work.total();
+                views += report.views.len();
             }
+            let (w, v) = match mode {
+                RouteMode::Routed => (&mut routed, &mut routed_views),
+                RouteMode::ScanAll => (&mut scan_all, &mut scan_all_views),
+            };
+            w.push(k as f64, work as f64 / appends as f64);
+            v.push(k as f64, views as f64 / appends as f64);
         }
     }
-    fig.series = vec![routed, scan_all];
+    fig.series = vec![routed, scan_all, routed_views, scan_all_views];
     fig
 }
 
@@ -823,119 +835,6 @@ pub fn e10_tiered(scale: u32) -> Figure {
         "{txns} call records over {accounts} accounts; final states agree exactly."
     ));
     fig
-}
-
-// ===================================================================== E11
-
-/// E11 — §1 prose: transaction throughput and summary-query latency. The
-/// persistent-view lookup is compared with the procedural summary field
-/// (ceiling) and with scanning the stored window (what SQL-over-history
-/// would do).
-pub fn e11_throughput(scale: u32) -> (Figure, Figure) {
-    let n: usize = if scale == 0 { 2_000 } else { 50_000 };
-    let accounts = 1_000i64;
-
-    // Throughput: pipeline with 4 producers and the balances view.
-    let mut db = ChronicleDb::new();
-    db.execute("CREATE CHRONICLE atm (sn SEQ, acct INT, amount FLOAT) RETAIN LAST 10000")
-        .expect("ddl");
-    db.execute("CREATE VIEW balances AS SELECT acct, SUM(amount) AS b FROM atm GROUP BY acct")
-        .expect("ddl");
-    let pipeline = ShardedPipeline::start(db.into(), 1024);
-    let start = std::time::Instant::now();
-    let mut joins = Vec::new();
-    for p in 0..4u64 {
-        let h = pipeline.handle();
-        let per = n / 4;
-        joins.push(std::thread::spawn(move || {
-            let mut gen = AtmGen::new(100 + p, 1_000);
-            for _ in 0..per {
-                let row = gen.next_row();
-                h.append_nowait(
-                    "atm",
-                    Chronon(0),
-                    vec![vec![row[0].clone(), row[1].clone()]],
-                )
-                .expect("pipeline alive");
-            }
-        }));
-    }
-    for j in joins {
-        j.join().expect("producer");
-    }
-    let db = pipeline.shutdown();
-    let elapsed = start.elapsed().as_secs_f64();
-    let appends_done = db.stats().appends as f64;
-
-    let mut fig_tp = Figure::new(
-        "E11a — append throughput with maintenance (pipeline, 4 producers)",
-        "producers",
-        "appends/sec",
-    );
-    let mut tp = Series::new("appends/sec");
-    tp.push(4.0, appends_done / elapsed);
-    fig_tp.series.push(tp);
-    fig_tp.note(format!(
-        "{appends_done} appends in {elapsed:.2}s; p50 maintenance {} ns, p99 {} ns",
-        db.stats().latency_percentile(0.5),
-        db.stats().latency_percentile(0.99),
-    ));
-
-    // Query latency: view lookup vs procedural field vs window scan.
-    let mut fig_q = Figure::new(
-        "E11b — summary-query latency (§1: \"answered in subseconds\")",
-        "strategy (1=view, 2=procedural, 3=window scan)",
-        "latency per query (ns)",
-    );
-    let mut lat = Series::new("latency (ns)");
-    // Rebuild the same workload on a fresh db and a procedural baseline.
-    let mut db2 = ChronicleDb::new();
-    db2.execute("CREATE CHRONICLE atm (sn SEQ, acct INT, amount FLOAT) RETAIN ALL")
-        .expect("ddl");
-    db2.execute("CREATE VIEW balances AS SELECT acct, SUM(amount) AS b FROM atm GROUP BY acct")
-        .expect("ddl");
-    let mut proc = ProceduralSummary::running_sum(vec![1], 2);
-    let mut gen = AtmGen::new(55, accounts);
-    for i in 0..n.min(20_000) {
-        let row = gen.next_row();
-        let out = db2
-            .append(
-                "atm",
-                Chronon(i as i64),
-                &[vec![row[0].clone(), row[1].clone()]],
-            )
-            .expect("append");
-        let _ = out;
-        proc.on_tuple(&Tuple::new(vec![
-            Value::Seq(SeqNo(i as u64 + 1)),
-            row[0].clone(),
-            row[1].clone(),
-        ]));
-    }
-    let key = [Value::Int(7)];
-    let t_view = time_per_iter(2_000, || {
-        std::hint::black_box(db2.query_view_key("balances", &key).expect("view"));
-    });
-    let t_proc = time_per_iter(2_000, || {
-        std::hint::black_box(proc.get(&key));
-    });
-    let cid = db2.catalog().chronicle_id("atm").expect("exists");
-    let t_scan = time_per_iter(20, || {
-        let total: f64 = db2
-            .catalog()
-            .chronicle(cid)
-            .scan_window()
-            .filter(|t| t.get(1) == &key[0])
-            .map(|t| t.get(2).as_float().expect("amount"))
-            .sum();
-        std::hint::black_box(total);
-    });
-    lat.push(1.0, t_view);
-    lat.push(2.0, t_proc);
-    lat.push(3.0, t_scan);
-    fig_q.series.push(lat);
-    fig_q.note("expected: view lookup within ~an order of magnitude of the hand-coded field; window scan orders of magnitude slower and growing with history.");
-    (fig_tp, fig_q)
 }
 
 // ===================================================================== E12
@@ -1030,12 +929,10 @@ pub fn e12_proactive(scale: u32) -> Figure {
 
 // ===================================================================== E14
 
-/// E14 — recovery time vs pre-checkpoint chronicle length with a fixed
+/// E14 — recovery work vs pre-checkpoint chronicle length with a fixed
 /// WAL tail (the durability analogue of Prop. 3.1). A checkpoint persists
-/// the views in O(|V|), so reopening replays only the tail; recovery time
-/// must stay flat while the pre-checkpoint history grows. This is the
-/// measurement core of the `e14_recovery` bench target, exposed here so
-/// the `experiments json` mode can emit `BENCH_E14.json`.
+/// the views in O(|V|), so reopening replays only the tail; the records
+/// replayed must stay flat while the pre-checkpoint history grows.
 pub fn e14_recovery(scale: u32) -> Figure {
     let tail: usize = if scale == 0 { 200 } else { 1_000 };
     let sizes: &[usize] = if scale == 0 {
@@ -1043,13 +940,11 @@ pub fn e14_recovery(scale: u32) -> Figure {
     } else {
         &[10_000, 40_000, 160_000]
     };
-    let iters = if scale == 0 { 3 } else { 10 };
     let mut fig = Figure::new(
-        "E14 — recovery time vs chronicle length (fixed WAL tail)",
+        "E14 — recovery replay vs chronicle length (fixed WAL tail)",
         "pre-checkpoint appends",
-        "recovery time (ns)",
+        "WAL records replayed on reopen",
     );
-    let mut rec = Series::new("recovery (ns)");
     let mut replayed = Series::new("tail records replayed");
     for &n in sizes {
         let tmp = TempDir::new("e14-json");
@@ -1075,19 +970,12 @@ pub fn e14_recovery(scale: u32) -> Figure {
                 }
             }
         }
-        let mut last_replayed = 0u64;
-        let ns = time_per_iter(iters, || {
-            let db = ChronicleDb::open(tmp.path()).expect("reopen");
-            last_replayed = db.stats().recovery_replayed_records;
-            std::hint::black_box(&db);
-        });
-        rec.push(n as f64, ns);
-        replayed.push(n as f64, last_replayed as f64);
+        let db = ChronicleDb::open(tmp.path()).expect("reopen");
+        replayed.push(n as f64, db.stats().recovery_replayed_records as f64);
     }
-    fig.series.push(rec);
     fig.series.push(replayed);
     fig.note(format!(
-        "WAL tail fixed at {tail} records; expected: recovery flat while the \
+        "WAL tail fixed at {tail} records; expected: replay flat while the \
          pre-checkpoint chronicle grows {}x",
         sizes.last().expect("nonempty") / sizes.first().expect("nonempty")
     ));
@@ -1096,16 +984,15 @@ pub fn e14_recovery(scale: u32) -> Figure {
 
 // ===================================================================== E15
 
-/// E15 — sharded maintenance scaling: durable append throughput and the
-/// critical-path share of maintenance work as the catalog is
-/// hash-partitioned. Theorem 4.1 keeps the shards coordination-free, so
-/// the serial stage of a sharded run is its most-loaded shard; with the
-/// balanced group set the critical path shrinks as 1/shards. Each shard
-/// count is swept twice over the same total tuple stream: row-at-a-time
-/// appends (one WAL record and one maintenance event per tuple) and
-/// 32-row batches (one columnar WAL record and one vectorized maintenance
-/// event per batch). Measurement core of the `e15_sharding` bench target,
-/// exposed for `BENCH_E15.json`.
+/// E15 — sharded maintenance scaling: the critical-path share of
+/// maintenance work as the catalog is hash-partitioned, and the WAL
+/// records a durable append stream costs. Theorem 4.1 keeps the shards
+/// coordination-free, so the serial stage of a sharded run is its
+/// most-loaded shard; with the balanced group set the critical path
+/// shrinks as 1/shards. Each shard count is swept twice over the same
+/// total tuple stream: row-at-a-time appends (one WAL record and one
+/// maintenance event per tuple) and 32-row batches (one columnar WAL
+/// record and one vectorized maintenance event per batch).
 pub fn e15_sharding(scale: u32) -> Figure {
     const GROUPS: usize = 8;
     /// Rows per append in the batched sweep.
@@ -1118,8 +1005,7 @@ pub fn e15_sharding(scale: u32) -> Figure {
     } else {
         &[1, 2, 4, 8]
     };
-    // Per-shard channel capacity doubles as the group-commit window; a
-    // small one keeps the single-shard engine fsync-stall-bound.
+    // Per-shard channel capacity, which doubles as the group-commit window.
     let capacity = 4;
     // Group names with pairwise-distinct hashes mod 8: the assignment is
     // balanced at every swept shard count.
@@ -1140,10 +1026,11 @@ pub fn e15_sharding(scale: u32) -> Figure {
     let mut fig = Figure::new(
         "E15 — sharded maintenance scaling (durable group commit)",
         "shards",
-        "tuples/sec and critical-path work",
+        "critical-path work and WAL records per tuple",
     );
     // One durable run: `batch` tuples per append, same total stream.
-    // Returns wall seconds plus the finished engine for work inspection.
+    // Returns the WAL records the stream wrote (DDL excluded) plus the
+    // finished engine for work inspection.
     let run = |shards: usize, batch: usize| {
         let tmp = TempDir::new("e15-json");
         let opts = DurabilityOptions {
@@ -1163,9 +1050,9 @@ pub fn e15_sharding(scale: u32) -> Figure {
             ))
             .expect("ddl");
         }
+        let ddl_records = db.stats().wal_records;
         let pipeline = ShardedPipeline::start(db, capacity);
         let handle = pipeline.handle();
-        let start = std::time::Instant::now();
         std::thread::scope(|scope| {
             for g in &names {
                 let handle = handle.clone();
@@ -1186,57 +1073,52 @@ pub fn e15_sharding(scale: u32) -> Figure {
             }
         });
         let db = pipeline.shutdown();
-        (start.elapsed().as_secs_f64(), db)
+        (db.stats().wal_records - ddl_records, db)
     };
-    let mut tp = Series::new("tuples/sec (row-at-a-time)");
-    let mut tp_batch = Series::new(format!("tuples/sec (batched x{BATCH})"));
-    let mut batch_speedup = Series::new("batch speedup (x)");
     let mut critical = Series::new("critical-path work (units)");
     let mut speedup = Series::new("model speedup (total/critical)");
+    let mut wal_row = Series::new("WAL records per tuple (row-at-a-time)");
+    let mut wal_batch = Series::new(format!("WAL records per tuple (batched x{BATCH})"));
     for &shards in shard_counts {
-        let (row_secs, db) = run(shards, 1);
+        let (row_records, db) = run(shards, 1);
         let total = db.stats().work.total() as f64;
         let crit = (0..shards)
             .map(|i| db.shard(i).stats().work.total())
             .max()
             .unwrap_or(0) as f64;
-        let (batch_secs, batch_db) = run(shards, BATCH);
+        let (batch_records, batch_db) = run(shards, BATCH);
         assert!(
             batch_db.stats().vectorized_views > 0,
             "batched E15 run never reached the vectorized kernels"
         );
-        tp.push(shards as f64, ops as f64 / row_secs.max(1e-9));
-        tp_batch.push(shards as f64, ops as f64 / batch_secs.max(1e-9));
-        batch_speedup.push(shards as f64, row_secs / batch_secs.max(1e-9));
         critical.push(shards as f64, crit);
         speedup.push(shards as f64, total / crit.max(1.0));
+        wal_row.push(shards as f64, row_records as f64 / ops as f64);
+        wal_batch.push(shards as f64, batch_records as f64 / ops as f64);
     }
-    fig.series.push(tp);
-    fig.series.push(tp_batch);
-    fig.series.push(batch_speedup);
     fig.series.push(critical);
     fig.series.push(speedup);
+    fig.series.push(wal_row);
+    fig.series.push(wal_batch);
     fig.note(format!(
         "{GROUPS} groups x {ops_per_group} durable tuples, group-commit \
          window {capacity}, appended 1 and {BATCH} rows at a time; \
-         expected: critical-path work ~1/shards of total (work counters \
-         are deterministic), throughput rising with shards, and batched \
-         ingest >=5x row-at-a-time at every shard count"
+         expected: critical-path work exactly total/shards (balanced \
+         groups, deterministic work counters), one WAL record per tuple \
+         row-at-a-time and one per {BATCH} tuples batched"
     ));
     fig
 }
 
 // ===================================================================== E16
 
-/// E16 — follower catch-up: WAL-shipping throughput and replication lag.
+/// E16 — follower catch-up: WAL bytes shipped and replication lag.
 /// A fresh follower pulls the leader's entire WAL through the [`Shipper`]
 /// cursor machinery — the same code path the TCP server drives, minus the
 /// socket — persists it byte-identically, and replays it through the
 /// recovery path. Catch-up cost is linear in shipped WAL bytes (not in
 /// how *old* the history is), lag after one uninterrupted catch-up is 0,
 /// and the follower's views are byte-identical to the leader's.
-/// Measurement core of the `e16_replication` bench target, exposed for
-/// `BENCH_E16.json`.
 pub fn e16_replication(scale: u32) -> Figure {
     const SHARDS: usize = 2;
     let sizes: &[usize] = if scale == 0 {
@@ -1268,9 +1150,8 @@ pub fn e16_replication(scale: u32) -> Figure {
     let mut fig = Figure::new(
         "E16 — follower catch-up over WAL shipping",
         "leader appends before the follower attaches",
-        "records/sec, bytes, lag",
+        "bytes, lag",
     );
-    let mut tp = Series::new("catch-up (records applied/sec)");
     let mut shipped = Series::new("WAL bytes shipped");
     let mut lag = Series::new("replication lag after catch-up (records)");
     let mut all_identical = true;
@@ -1314,54 +1195,16 @@ pub fn e16_replication(scale: u32) -> Figure {
         let db = pipeline.shutdown();
 
         // The follower attaches cold and catches up in one uninterrupted
-        // pull; the timed region is exactly what a freshly started
-        // `Replica` does between connect and lag 0.
+        // pull — what a freshly started `Replica` does between connect
+        // and lag 0.
         let follower_tmp = TempDir::new("e16-follower");
         let mut follower =
             FollowerDb::open_with(follower_tmp.path(), SHARDS, opts()).expect("open follower");
-        let mut shipper = Shipper::new(&follower.applied_lsns(), DEFAULT_CHUNK);
-        let mut bytes = 0u64;
-        let start = std::time::Instant::now();
-        loop {
-            let caught_up = {
-                let follower = &mut follower;
-                let bytes = &mut bytes;
-                shipper
-                    .pump(&db, &mut |ev| match ev {
-                        ShipEvent::Start { shard, first_lsn } => {
-                            follower.begin_segment(shard, first_lsn)
-                        }
-                        ShipEvent::Bytes {
-                            shard,
-                            offset,
-                            bytes: chunk,
-                            ..
-                        } => {
-                            *bytes += chunk.len() as u64;
-                            follower.ingest(shard, offset, &chunk).map(|_| ())
-                        }
-                        ShipEvent::Seal { shard, first_lsn } => {
-                            follower.seal_segment(shard, first_lsn)
-                        }
-                    })
-                    .expect("ship")
-            };
-            if caught_up {
-                break;
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        for shard in 0..SHARDS {
-            let durable = WalSource::last_durable_lsn(&db, shard).expect("leader lsn");
-            follower.note_leader_durable(shard, durable);
-        }
-        let records: u64 = follower.applied_lsns().iter().sum();
-        tp.push(n as f64, records as f64 / elapsed.max(1e-9));
+        let bytes = ship_until_caught_up(&db, &mut follower);
         shipped.push(n as f64, bytes as f64);
         lag.push(n as f64, follower.replication_lag().unwrap_or(0) as f64);
         all_identical &= follower.db().snapshot_views() == db.snapshot_views();
     }
-    fig.series.push(tp);
     fig.series.push(shipped);
     fig.series.push(lag);
     fig.note(format!(
@@ -1373,93 +1216,12 @@ pub fn e16_replication(scale: u32) -> Figure {
     fig
 }
 
-// ===================================================================== E17
-
-/// E17 — batch-size sweep of the vectorized delta kernels: per-tuple
-/// maintenance cost as the append batch grows, vectorized (columnar
-/// chunks through the σ/Π/γ kernels) vs forced-scalar (the per-tuple
-/// interpreter), over one in-memory engine with a select-heavy and a
-/// grouped view. Both modes produce byte-identical state — the
-/// differential oracle suite pins that — so this figure isolates the
-/// constant-factor win of transposing once per batch instead of boxing
-/// every tuple through intermediate Z-sets. Exposed for
-/// `BENCH_E17.json`.
-pub fn e17_batch_kernels(scale: u32) -> Figure {
-    let total: usize = if scale == 0 { 4_096 } else { 65_536 };
-    let batch_sizes: &[usize] = if scale == 0 {
-        &[1, 16, 256]
-    } else {
-        &[1, 4, 16, 64, 256]
-    };
-    let run = |batch: usize, mode: BatchMode| {
-        let mut db = ChronicleDb::new();
-        db.execute("CREATE CHRONICLE calls (sn SEQ, caller INT, minutes FLOAT)")
-            .expect("ddl");
-        db.execute(
-            "CREATE VIEW long_calls AS SELECT caller, COUNT(*) AS n, SUM(minutes) AS m \
-             FROM calls WHERE minutes > 4.5 GROUP BY caller",
-        )
-        .expect("ddl");
-        db.execute("CREATE VIEW callers AS SELECT caller FROM calls")
-            .expect("ddl");
-        db.set_batch_mode(mode);
-        let start = std::time::Instant::now();
-        for b in 0..total / batch {
-            let rows: Vec<Vec<Value>> = (0..batch)
-                .map(|j| {
-                    let i = b * batch + j;
-                    vec![Value::Int((i % 64) as i64), Value::Float(i as f64 % 9.0)]
-                })
-                .collect();
-            db.append("calls", Chronon(b as i64 + 1), &rows)
-                .expect("append");
-        }
-        let secs = start.elapsed().as_secs_f64();
-        // Single-row appends ride the interpreter by design (the chunk
-        // transpose only pays for itself from two rows up), so the kernel
-        // counter is only required to move once batches actually batch.
-        if mode == BatchMode::Vectorized && batch >= 2 {
-            assert!(
-                db.stats().vectorized_views > 0,
-                "E17 vectorized run never reached the kernels"
-            );
-        }
-        secs
-    };
-    let mut fig = Figure::new(
-        "E17 — vectorized kernels vs scalar interpreter (batch-size sweep)",
-        "rows per append batch",
-        "tuples/sec (in-memory maintenance)",
-    );
-    let mut vec_tp = Series::new("tuples/sec (vectorized)");
-    let mut sca_tp = Series::new("tuples/sec (scalar)");
-    let mut speedup = Series::new("kernel speedup (x)");
-    for &batch in batch_sizes {
-        let sca = run(batch, BatchMode::Scalar);
-        let vec = run(batch, BatchMode::Vectorized);
-        vec_tp.push(batch as f64, total as f64 / vec.max(1e-9));
-        sca_tp.push(batch as f64, total as f64 / sca.max(1e-9));
-        speedup.push(batch as f64, sca / vec.max(1e-9));
-    }
-    fig.series.push(vec_tp);
-    fig.series.push(sca_tp);
-    fig.series.push(speedup);
-    fig.note(format!(
-        "{total} tuples through two views (sigma+gamma, pi), in-memory; \
-         expected: modes coincide at batch 1 (single-row events ride the \
-         interpreter by design) and the kernels pull ahead as batches grow"
-    ));
-    fig
-}
-
 // ===================================================================== E18
 
 /// One placement mode's outcome in the E18 sweep.
 struct SkewRun {
     /// Per-shard maintenance work charged during the measured phase.
     deltas: Vec<u64>,
-    /// Wall seconds the rebalance pass held the engine (0 for static).
-    pause_secs: f64,
     /// Group relocations the pass applied.
     moves: usize,
     /// Full view state after the measured phase.
@@ -1475,9 +1237,8 @@ struct SkewRun {
 /// stranded lights, restoring near-balanced execution. Placement is
 /// execution-only: the measured phase's *total* work is bit-identical
 /// across modes and the final view snapshots are byte-equal — only the
-/// per-shard split moves. Work counters are deterministic, so the gate
-/// (`crates/bench/tests/e18_gate.rs`) asserts on them rather than wall
-/// time. Exposed for `BENCH_E18.json`.
+/// per-shard split moves. The gate (`crates/bench/tests/e18_gate.rs`)
+/// asserts on these deterministic work counters.
 pub fn e18_zipf_skew(scale: u32) -> Figure {
     const SHARDS: usize = 8;
     /// Zipf ranks that co-hash to shard 0 under static placement.
@@ -1555,12 +1316,10 @@ pub fn e18_zipf_skew(scale: u32) -> Figure {
         // rebalance below moves fully quiesced groups.
         let (w, m) = schedule.split_at(warmup);
         let mut db = feed(db, w);
-        let (pause_secs, moves) = if heavy_light {
-            let start = std::time::Instant::now();
-            let plan = db.rebalance().expect("rebalance");
-            (start.elapsed().as_secs_f64(), plan.len())
+        let moves = if heavy_light {
+            db.rebalance().expect("rebalance").len()
         } else {
-            (0.0, 0)
+            0
         };
         let base: Vec<u64> = (0..SHARDS)
             .map(|i| db.shard(i).stats().work.total())
@@ -1572,7 +1331,6 @@ pub fn e18_zipf_skew(scale: u32) -> Figure {
             .collect();
         SkewRun {
             deltas,
-            pause_secs,
             moves,
             snapshot: db.snapshot_views(),
         }
@@ -1589,7 +1347,6 @@ pub fn e18_zipf_skew(scale: u32) -> Figure {
     let mut total_static = Series::new("phase-2 total work (static hash)");
     let mut total_hl = Series::new("phase-2 total work (heavy-light)");
     let mut moves_s = Series::new("rebalance moves");
-    let mut pause_s = Series::new("rebalance pause (ms)");
     let mut all_identical = true;
     for &theta in thetas {
         let schedule = schedule_for(theta);
@@ -1606,17 +1363,8 @@ pub fn e18_zipf_skew(scale: u32) -> Figure {
         total_static.push(theta, st.deltas.iter().sum::<u64>() as f64);
         total_hl.push(theta, hl.deltas.iter().sum::<u64>() as f64);
         moves_s.push(theta, hl.moves as f64);
-        pause_s.push(theta, hl.pause_secs * 1e3);
     }
-    fig.series = vec![
-        crit_static,
-        crit_hl,
-        ratio,
-        total_static,
-        total_hl,
-        moves_s,
-        pause_s,
-    ];
+    fig.series = vec![crit_static, crit_hl, ratio, total_static, total_hl, moves_s];
     fig.note(format!(
         "{groups} groups on {SHARDS} shards; top-{HOT} Zipf ranks co-hash to \
          shard 0; {warmup} warmup + {measured} measured appends per mode; \
@@ -1632,18 +1380,17 @@ pub fn e18_zipf_skew(scale: u32) -> Figure {
 
 // ===================================================================== E19
 
-/// E19 — leader failover: fenced promotion downtime and the retry storm.
+/// E19 — leader failover: fenced promotion and the retry storm.
 /// A durable leader executes stamped statements across sessioned clients
 /// while a semi-synchronous follower mirrors its WAL; then the leader
-/// dies. Three quantities: *promotion downtime* — the
-/// [`FollowerDb::promote`] recovery that turns the follower into a
-/// serving leader under a new fenced term; the *retry storm* a failover
-/// triggers — every
-/// client re-sends its newest `(session, seq)` stamp and all of them must
-/// be answered from the dedupe cache without re-applying; and *fresh*
-/// stamped throughput on the promoted lineage. A stale-term probe against
-/// a follower of the new lineage must be refused with the typed fencing
-/// error after every promotion. Exposed for `BENCH_E19.json`.
+/// dies. Three quantities: the WAL records the [`FollowerDb::promote`]
+/// recovery replays to turn the follower into a serving leader under a
+/// new fenced term; the *retry storm* a failover triggers — every client
+/// re-sends its newest `(session, seq)` stamp and all of them must be
+/// answered from the dedupe cache without re-applying; and the *fresh*
+/// stamps applied on the promoted lineage. A stale-term probe against a
+/// follower of the new lineage must be refused with the typed fencing
+/// error after every promotion.
 pub fn e19_failover(scale: u32) -> Figure {
     const SHARDS: usize = 2;
     const SESSIONS: u64 = 8;
@@ -1676,11 +1423,11 @@ pub fn e19_failover(scale: u32) -> Figure {
     let mut fig = Figure::new(
         "E19 — leader failover: fenced promotion and retryable sessions",
         "stamped appends before the leader dies",
-        "ms, stmts/sec",
+        "records, statements",
     );
-    let mut downtime = Series::new("promotion downtime (ms)");
-    let mut retry_tp = Series::new("retry storm, answered from the dedupe cache (stmts/sec)");
-    let mut fresh_tp = Series::new("fresh stamped appends after failover (stmts/sec)");
+    let mut replayed = Series::new("WAL records replayed at promotion");
+    let mut retried = Series::new("retries answered from the dedupe cache");
+    let mut fresh = Series::new("fresh stamps applied after failover");
     let mut all_cached = true;
     let mut all_fenced = true;
     for &n in sizes {
@@ -1702,7 +1449,7 @@ pub fn e19_failover(scale: u32) -> Figure {
         // statement carries a `(session, seq)` stamp and each session
         // remembers its newest one — what a real client re-sends when the
         // ack is lost to a failover.
-        let mut sn = vec![0u64; SHARDS];
+        let mut sn = [0u64; SHARDS];
         let mut last: Vec<(u64, String)> = vec![(0, String::new()); SESSIONS as usize];
         for i in 0..n {
             let session = (i as u64 % SESSIONS) + 1;
@@ -1727,13 +1474,12 @@ pub fn e19_failover(scale: u32) -> Figure {
             FollowerDb::open_with(follower_tmp.path(), SHARDS, opts()).expect("open follower");
         ship_until_caught_up(&db, &mut follower);
 
-        // The leader dies; the follower is promoted. The timed region is
-        // the full fenced takeover: drop the ingest plumbing, recover a
-        // serving `ShardedDb` from the local files, begin the next term.
+        // The leader dies; the follower is promoted: the full fenced
+        // takeover drops the ingest plumbing, recovers a serving
+        // `ShardedDb` from the local files, and begins the next term.
         drop(db);
-        let start = std::time::Instant::now();
         let mut promoted = follower.promote().expect("promote");
-        downtime.push(n as f64, start.elapsed().as_secs_f64() * 1e3);
+        replayed.push(n as f64, promoted.stats().recovery_replayed_records as f64);
 
         // A follower of the *new* lineage refuses the deposed term with
         // the typed fencing error.
@@ -1753,7 +1499,6 @@ pub fn e19_failover(scale: u32) -> Figure {
         // change.
         let before = promoted.snapshot_views();
         let replays_before = promoted.stats().session_replays;
-        let start = std::time::Instant::now();
         for _ in 0..retries_per_session {
             for session in 1..=SESSIONS {
                 let (seq, sql) = &last[session as usize - 1];
@@ -1762,16 +1507,13 @@ pub fn e19_failover(scale: u32) -> Figure {
                     .expect("retry answered from the dedupe cache");
             }
         }
-        let storm = retries_per_session as u64 * SESSIONS;
-        retry_tp.push(
-            n as f64,
-            storm as f64 / start.elapsed().as_secs_f64().max(1e-9),
-        );
-        all_cached &= promoted.snapshot_views() == before
-            && promoted.stats().session_replays - replays_before == storm;
+        let replays = promoted.stats().session_replays - replays_before;
+        retried.push(n as f64, replays as f64);
+        all_cached &=
+            promoted.snapshot_views() == before && replays == retries_per_session as u64 * SESSIONS;
 
         // Fresh stamped work on the promoted lineage.
-        let start = std::time::Instant::now();
+        let appends_before = promoted.stats().appends;
         for k in 0..fresh_per_session {
             for session in 1..=SESSIONS {
                 let g = k % SHARDS;
@@ -1790,31 +1532,33 @@ pub fn e19_failover(scale: u32) -> Figure {
                 last[session as usize - 1] = (seq, sql);
             }
         }
-        fresh_tp.push(
-            n as f64,
-            (fresh_per_session as u64 * SESSIONS) as f64 / start.elapsed().as_secs_f64().max(1e-9),
-        );
+        fresh.push(n as f64, (promoted.stats().appends - appends_before) as f64);
     }
-    fig.series.push(downtime);
-    fig.series.push(retry_tp);
-    fig.series.push(fresh_tp);
+    fig.series.push(replayed);
+    fig.series.push(retried);
+    fig.series.push(fresh);
     fig.note(format!(
         "{SHARDS} shards, {SESSIONS} sessions, 64 KiB segments, durable \
-         leader and follower; promotion downtime is the full recover-and-\
-         begin-term takeover; expected: every retry answered from the \
-         dedupe cache with zero state change: {all_cached}; stale-term \
-         probe fenced after every promotion: {all_fenced}"
+         leader and follower; {retries_per_session} retries and \
+         {fresh_per_session} fresh stamps per session after each promotion; \
+         expected: promotion replays the whole uncheckpointed log (linear in \
+         appends), every retry answered from the dedupe cache with zero \
+         state change: {all_cached}; stale-term probe fenced after every \
+         promotion: {all_fenced}"
     ));
     fig
 }
 
 /// Pump the [`Shipper`] until the follower has every leader WAL byte,
 /// then record the leader's durable frontier so replication lag reads 0.
-fn ship_until_caught_up(leader: &ShardedDb, follower: &mut FollowerDb) {
+/// Returns the WAL bytes shipped.
+fn ship_until_caught_up(leader: &ShardedDb, follower: &mut FollowerDb) -> u64 {
     let mut shipper = Shipper::new(&follower.applied_lsns(), DEFAULT_CHUNK);
+    let mut bytes = 0u64;
     loop {
         let caught_up = {
             let follower = &mut *follower;
+            let bytes = &mut bytes;
             shipper
                 .pump(leader, &mut |ev| match ev {
                     ShipEvent::Start { shard, first_lsn } => {
@@ -1825,7 +1569,10 @@ fn ship_until_caught_up(leader: &ShardedDb, follower: &mut FollowerDb) {
                         offset,
                         bytes: chunk,
                         ..
-                    } => follower.ingest(shard, offset, &chunk).map(|_| ()),
+                    } => {
+                        *bytes += chunk.len() as u64;
+                        follower.ingest(shard, offset, &chunk).map(|_| ())
+                    }
                     ShipEvent::Seal { shard, first_lsn } => follower.seal_segment(shard, first_lsn),
                 })
                 .expect("ship")
@@ -1838,6 +1585,7 @@ fn ship_until_caught_up(leader: &ShardedDb, follower: &mut FollowerDb) {
         let durable = WalSource::last_durable_lsn(leader, shard).expect("leader lsn");
         follower.note_leader_durable(shard, durable);
     }
+    bytes
 }
 
 #[cfg(test)]
@@ -1899,6 +1647,12 @@ mod tests {
     }
 
     #[test]
+    fn e5_apply_work_flat_in_view_size() {
+        let (fig_v, _) = e5_sca_apply(0);
+        assert!(fig_v.series[0].growth() < 1.2, "{:?}", fig_v.series[0]);
+    }
+
+    #[test]
     fn e6_separation() {
         let fig = e6_class_separation(0);
         assert!(fig.series("SCA₁ work").expect("s").growth() < 1.2);
@@ -1915,6 +1669,32 @@ mod tests {
             "beyond-CA maintenance must scale with |C|"
         );
         assert!(fig.notes.iter().any(|n| n.contains("Theorem 4.3")));
+    }
+
+    #[test]
+    fn e8_cyclic_buffer_bounded_while_alternatives_track_width() {
+        let fig = e8_sliding_window(0);
+        let cyclic = fig
+            .series("cyclic buffer accumulator updates+retractions")
+            .expect("s");
+        assert!(cyclic.points.iter().all(|&(_, y)| y < 9.0), "{cyclic:?}");
+        assert!(fig.series("periodic-views work").expect("s").growth() > 3.0);
+        assert!(
+            fig.series("naive window recompute tuples summed")
+                .expect("s")
+                .growth()
+                > 3.0
+        );
+    }
+
+    #[test]
+    fn e9_routing_maintains_only_the_matching_view() {
+        let fig = e9_router(0);
+        assert_eq!(fig.series("routed work").expect("s").growth(), 1.0);
+        let routed = fig.series("routed views maintained").expect("s");
+        assert!(routed.points.iter().all(|&(_, y)| y == 1.0), "{routed:?}");
+        let all = fig.series("scan-all views maintained").expect("s");
+        assert!(all.points.iter().all(|&(k, y)| y == k), "{all:?}");
     }
 
     #[test]
@@ -1946,32 +1726,28 @@ mod tests {
     #[test]
     fn e15_sweeps_both_append_granularities() {
         let fig = e15_sharding(0);
-        let row = fig.series("tuples/sec (row-at-a-time)").expect("series");
-        let batch = fig.series("tuples/sec (batched x32)").expect("series");
-        let speedup = fig.series("batch speedup (x)").expect("series");
-        assert_eq!(row.points.len(), batch.points.len());
-        assert_eq!(row.points.len(), speedup.points.len());
-        // Fewer WAL records, fsyncs, and maintenance events per tuple:
-        // batched ingest must never be slower than row-at-a-time.
-        assert!(
-            speedup.points.iter().all(|&(_, y)| y > 1.0),
-            "batched ingest slower than row-at-a-time: {:?}",
-            speedup.points
-        );
-    }
-
-    #[test]
-    fn e17_sweeps_both_kernel_modes() {
-        let fig = e17_batch_kernels(0);
-        for name in [
-            "tuples/sec (vectorized)",
-            "tuples/sec (scalar)",
-            "kernel speedup (x)",
-        ] {
-            let s = fig.series(name).expect("series");
-            assert_eq!(s.points.len(), 3, "scale-0 sweep covers 3 batch sizes");
-            assert!(s.points.iter().all(|&(_, y)| y > 0.0));
+        // Balanced groups: the most-loaded shard carries exactly
+        // total/shards of the maintenance work.
+        let speedup = fig
+            .series("model speedup (total/critical)")
+            .expect("series");
+        for &(shards, y) in &speedup.points {
+            assert_eq!(y, shards, "critical path must be total/shards");
         }
+        // One WAL record per append: per tuple row-at-a-time, per 32
+        // tuples batched.
+        let row = fig
+            .series("WAL records per tuple (row-at-a-time)")
+            .expect("series");
+        let batch = fig
+            .series("WAL records per tuple (batched x32)")
+            .expect("series");
+        assert_eq!(row.points.len(), speedup.points.len());
+        assert!(row.points.iter().all(|&(_, y)| y == 1.0), "{row:?}");
+        assert!(
+            batch.points.iter().all(|&(_, y)| y == 1.0 / 32.0),
+            "{batch:?}"
+        );
     }
 
     #[test]
@@ -2001,20 +1777,22 @@ mod tests {
     #[test]
     fn e19_promotes_fenced_and_answers_retries_from_cache() {
         let fig = e19_failover(0);
-        let downtime = fig.series("promotion downtime (ms)").expect("series");
-        assert!(
-            downtime.points.iter().all(|&(_, y)| y > 0.0),
-            "promotion must take measurable time, got {:?}",
-            downtime.points
-        );
-        let storm = fig
-            .series("retry storm, answered from the dedupe cache (stmts/sec)")
+        // Promotion recovers from the follower's files: at least one
+        // record per stamped append.
+        let replayed = fig
+            .series("WAL records replayed at promotion")
             .expect("series");
-        assert!(
-            storm.points.iter().all(|&(_, y)| y > 0.0),
-            "the retry storm must complete, got {:?}",
-            storm.points
-        );
+        assert!(replayed.points.iter().all(|&(n, y)| y >= n), "{replayed:?}");
+        // Scale 0 sends 50 retries and 50 fresh stamps from each of 8
+        // sessions: every retry is a session replay, every fresh stamp an
+        // applied append.
+        for name in [
+            "retries answered from the dedupe cache",
+            "fresh stamps applied after failover",
+        ] {
+            let s = fig.series(name).expect("series");
+            assert!(s.points.iter().all(|&(_, y)| y == 400.0), "{s:?}");
+        }
         assert!(
             fig.notes
                 .iter()
@@ -2029,5 +1807,20 @@ mod tests {
             "the deposed term must be fenced: {:?}",
             fig.notes
         );
+    }
+
+    /// The committed `BENCH_E*.json` files are gated by byte equality, so
+    /// every figure must be a pure function of the code and the scale.
+    #[test]
+    fn every_record_is_byte_identical_across_runs() {
+        let render = || -> Vec<String> {
+            ALL.iter()
+                .map(|(id, run)| crate::json::experiment_doc(id, 0, &run(0)).render())
+                .collect()
+        };
+        let (first, second) = (render(), render());
+        for ((id, _), (a, b)) in ALL.iter().zip(first.iter().zip(&second)) {
+            assert_eq!(a, b, "{id} differs between two runs");
+        }
     }
 }

@@ -1,6 +1,4 @@
-//! Sweep measurement and table rendering.
-
-use std::time::Instant;
+//! Figures, series and table rendering.
 
 /// One measured series: a named curve over a swept parameter.
 #[derive(Debug, Clone)]
@@ -137,15 +135,6 @@ pub fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Time a closure over `iters` runs and return mean nanoseconds per run.
-pub fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +171,5 @@ mod tests {
         assert_eq!(fmt_num(250.0), "250");
         assert_eq!(fmt_num(2.5), "2.50");
         assert_eq!(fmt_num(0.25), "0.2500");
-    }
-
-    #[test]
-    fn timing_positive() {
-        let ns = time_per_iter(10, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(ns >= 0.0);
     }
 }

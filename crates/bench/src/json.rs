@@ -1,18 +1,19 @@
-//! Machine-readable benchmark artifacts (`BENCH_*.json`).
+//! The theorem-shape record (`BENCH_E*.json`).
 //!
 //! The text tables the `experiments` binary prints are for humans;
 //! regression tooling wants numbers it can diff without parsing markdown.
 //! This module serialises [`Figure`]s into a small hand-rolled JSON
 //! writer (the tier-1 build is offline, so no serde) and writes one
-//! `BENCH_<EXP>.json` file per experiment at the repository root.
+//! `BENCH_<EXP>.json` file per experiment at the repository root. Every
+//! field is a deterministic function of the code and the scale, so a
+//! regenerated file is byte-equal to the committed one.
 //!
-//! Schema, stable across runs:
+//! Schema:
 //!
 //! ```json
 //! {
-//!   "experiment": "E11",
-//!   "scale": 0,
-//!   "unix_time_secs": 1754600000,
+//!   "experiment": "E14",
+//!   "scale": 1,
 //!   "figures": [
 //!     { "title": "...", "x_label": "...", "y_label": "...",
 //!       "notes": ["..."],
@@ -193,14 +194,9 @@ pub fn repo_root() -> PathBuf {
 
 /// Build the artifact document for one experiment run.
 pub fn experiment_doc(experiment: &str, scale: u32, figures: &[Figure]) -> Json {
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     Json::Obj(vec![
         ("experiment".into(), Json::Str(experiment.to_string())),
         ("scale".into(), Json::Num(scale as f64)),
-        ("unix_time_secs".into(), Json::Num(now as f64)),
         (
             "figures".into(),
             Json::Arr(figures.iter().map(figure_json).collect()),

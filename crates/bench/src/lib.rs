@@ -1,20 +1,22 @@
 //! Experiment harness for the chronicle-model reproduction.
 //!
 //! The paper (a PODS extended abstract) has no numbered tables or figures;
-//! its quantitative content is the theorems. DESIGN.md §6 derives twelve
-//! experiments E1–E12, one per theorem/claim, each a parameter sweep whose
-//! measured curve must match the predicted shape. This crate implements
-//! all of them once, and exposes them to two front-ends:
+//! its quantitative content is the theorems. DESIGN.md §6 derives one
+//! experiment per theorem/claim, each a parameter sweep whose measured
+//! curve must match the predicted shape. This crate is the **theorem-shape
+//! record**: every figure it emits is a deterministic quantity — work
+//! counters, bytes, record counts, moves, agreement flags — so two runs of
+//! the same commit produce byte-identical output and the committed
+//! `BENCH_E*.json` files are gated by equality, not a noise band.
+//! Wall-clock performance is measured only by `crates/benchmark`
+//! (`BENCHMARK.json`).
 //!
-//! * `cargo run -p chronicle-bench --release --bin experiments` — prints
-//!   every derived figure as a text table (the source of EXPERIMENTS.md),
-//! * `cargo bench -p chronicle-bench` — wall-time benches, one target per
-//!   experiment, driven by the in-tree [`timer`] shim (no external
-//!   benchmarking crate; the tier-1 verify runs fully offline).
+//! `cargo run -p chronicle-bench --release --bin experiments` prints every
+//! figure as a text table (the source of EXPERIMENTS.md); `-- json` writes
+//! the `BENCH_E*.json` records at the repo root.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod timer;

@@ -251,10 +251,8 @@ mod tests {
         for shard in 0..leader.shard_count() {
             let db = leader.shard(shard);
             let mut resume = f.applied_lsn(shard) + 1;
-            loop {
-                let Some(seg) = db.wal_segment_containing(resume).unwrap() else {
-                    break; // caught up past the durable end
-                };
+            // `None`: caught up past the durable end.
+            while let Some(seg) = db.wal_segment_containing(resume).unwrap() {
                 f.begin_segment(shard, seg.first_lsn).unwrap();
                 let mut offset = 0;
                 loop {

@@ -1198,9 +1198,12 @@ mod tests {
         assert!(ShardedDb::new(0).is_err());
     }
 
+    /// View snapshots plus every chronicle's window, each keyed by name.
+    type LogicalState = (Vec<(String, Vec<u8>)>, Vec<(String, Vec<Tuple>)>);
+
     /// Total logical state of a sharded db, for before/after-move
     /// comparisons: sorted view snapshots plus every chronicle's window.
-    fn logical_state(db: &ShardedDb) -> (Vec<(String, Vec<u8>)>, Vec<(String, Vec<Tuple>)>) {
+    fn logical_state(db: &ShardedDb) -> LogicalState {
         let mut windows: Vec<(String, Vec<Tuple>)> = db
             .shards()
             .iter()

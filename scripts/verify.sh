@@ -24,16 +24,28 @@ echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
 echo "== clippy (offline, deny warnings) =="
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== examples (offline) =="
 cargo build --offline --examples
 
-echo "== benches compile (offline) =="
-cargo bench --offline --no-run 2>/dev/null || cargo build --offline -p chronicle-bench --benches
-
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
+
+echo "== E-series theorem-shape record (offline) =="
+# Every BENCH_E*.json figure is a deterministic quantity (work counters,
+# bytes, record counts, moves, agreement flags), so the record is gated by
+# byte equality: regenerate it at full scale and require the committed
+# files unchanged, with no record left uncommitted.
+start=$SECONDS
+cargo run -q --offline --release -p chronicle-bench --bin experiments -- json >/dev/null
+git diff --exit-code -- 'BENCH_E*.json'
+untracked="$(git ls-files --others --exclude-standard -- 'BENCH_E*.json')"
+if [ -n "$untracked" ]; then
+    echo "uncommitted E-series records: $untracked"
+    exit 1
+fi
+echo "E-series record regenerated and unchanged in $((SECONDS - start)) s"
 
 echo "== crash-recovery gate (offline) =="
 # The durability suites: exact-prefix recovery at every torn-write cut
