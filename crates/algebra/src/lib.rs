@@ -19,10 +19,7 @@
 //!   Δ-rules from the Theorem 4.1 proof (no access to the chronicle, no
 //!   materialized intermediates),
 //! * [`eval`] — a full (non-incremental) evaluator over *stored* chronicles
-//!   with exact temporal-join semantics; the correctness oracle,
-//! * [`ra`] — general relational algebra over chronicles and relations
-//!   (the Proposition 3.1 baseline: expressible, but maintainable only by
-//!   recomputation in time polynomial in |C|).
+//!   with exact temporal-join semantics; the correctness oracle.
 
 #![warn(missing_docs)]
 
@@ -33,9 +30,7 @@ pub mod eval;
 mod expr;
 pub mod kernels;
 mod predicate;
-pub mod ra;
 mod relq;
-pub mod rewrite;
 mod sca;
 pub mod zset;
 
@@ -46,6 +41,5 @@ pub use expr::{CaExpr, ChronicleRef, RelationRef};
 pub use kernels::{plan as vector_plan, VectorPlan};
 pub use predicate::{Atom, CmpOp, Operand, Predicate};
 pub use relq::RelQuery;
-pub use rewrite::optimize;
 pub use sca::{ScaExpr, Summarize};
 pub use zset::ZSet;

@@ -217,74 +217,6 @@ impl Predicate {
             }
         }
     }
-
-    /// Remap every attribute position through `map` (used when predicates
-    /// are pushed through projections). `map[i]` is the new position of old
-    /// position `i`; `None` means the attribute was projected away, which
-    /// is an error.
-    pub fn remap(&self, map: &[Option<usize>]) -> Result<Predicate> {
-        match self {
-            Predicate::True => Ok(Predicate::True),
-            Predicate::Or(atoms) => {
-                let mut out = Vec::with_capacity(atoms.len());
-                for a in atoms {
-                    let left = map[a.left].ok_or_else(|| ChronicleError::UnknownAttribute {
-                        name: format!("position {}", a.left),
-                        context: "predicate remap".into(),
-                    })?;
-                    let right = match &a.right {
-                        Operand::Attr(p) => Operand::Attr(map[*p].ok_or_else(|| {
-                            ChronicleError::UnknownAttribute {
-                                name: format!("position {p}"),
-                                context: "predicate remap".into(),
-                            }
-                        })?),
-                        Operand::Const(v) => Operand::Const(v.clone()),
-                    };
-                    out.push(Atom {
-                        left,
-                        op: a.op,
-                        right,
-                    });
-                }
-                Ok(Predicate::Or(out))
-            }
-        }
-    }
-
-    /// The attribute positions this predicate reads.
-    pub fn referenced_attrs(&self) -> Vec<usize> {
-        match self {
-            Predicate::True => Vec::new(),
-            Predicate::Or(atoms) => {
-                let mut v = Vec::new();
-                for a in atoms {
-                    v.push(a.left);
-                    if let Operand::Attr(p) = a.right {
-                        v.push(p);
-                    }
-                }
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
-        }
-    }
-
-    /// Quick satisfiability pre-filter for the view router (§5.2): if every
-    /// atom is of the form `attr = const` on the *same* attribute with
-    /// pairwise-distinct constants, a tuple can only match one of them; more
-    /// usefully, a predicate whose atoms all compare attribute `a` to
-    /// constants defines a residue set we can test a candidate value
-    /// against without touching the full tuple. Returns `Some(positions)`
-    /// of attributes that must be examined, `None` if the predicate always
-    /// passes.
-    pub fn filter_attrs(&self) -> Option<Vec<usize>> {
-        match self {
-            Predicate::True => None,
-            Predicate::Or(_) => Some(self.referenced_attrs()),
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -434,37 +366,6 @@ mod tests {
         let s = schema();
         let p = Predicate::attr_cmp_const(&s, "caller", CmpOp::Eq, Value::Null).unwrap();
         assert!(!p.eval(&tuple![SeqNo(1), 1i64, 1.0f64, "x"]).unwrap());
-    }
-
-    #[test]
-    fn remap_through_projection() {
-        // Project onto (sn, minutes): old positions 0,2 -> new 0,1.
-        let p = Predicate::atom(2, CmpOp::Gt, Operand::Const(Value::Float(1.0)));
-        let map = vec![Some(0), None, Some(1), None];
-        let q = p.remap(&map).unwrap();
-        assert!(q.eval(&tuple![SeqNo(1), 2.0f64]).unwrap());
-        // Predicate on a projected-away attribute cannot be remapped.
-        let p2 = Predicate::atom(1, CmpOp::Eq, Operand::Const(Value::Int(5)));
-        assert!(p2.remap(&map).is_err());
-    }
-
-    #[test]
-    fn referenced_attrs_sorted_dedup() {
-        let p = Predicate::disjunction(vec![
-            Atom {
-                left: 2,
-                op: CmpOp::Eq,
-                right: Operand::Attr(1),
-            },
-            Atom {
-                left: 1,
-                op: CmpOp::Gt,
-                right: Operand::Const(Value::Int(0)),
-            },
-        ])
-        .unwrap();
-        assert_eq!(p.referenced_attrs(), vec![1, 2]);
-        assert_eq!(Predicate::True.referenced_attrs(), Vec::<usize>::new());
     }
 
     #[test]

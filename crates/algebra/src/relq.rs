@@ -36,7 +36,6 @@ use chronicle_types::RelationId;
 pub struct RelQuery {
     relation: RelationId,
     rel_name: String,
-    input: Schema,
     /// Conjunction of selection predicates (each itself a Def. 4.1
     /// disjunction): `σ_{p₁}∘σ_{p₂}∘…`. Empty = σ_true. Each σ is linear,
     /// so the stack commutes with signed deltas exactly like a single one.
@@ -68,7 +67,6 @@ impl RelQuery {
         Ok(RelQuery {
             relation: rel.id,
             rel_name: rel.name,
-            input: rel.schema,
             preds,
             summarize: Summarize::Project { cols },
             schema,
@@ -141,7 +139,6 @@ impl RelQuery {
         Ok(RelQuery {
             relation: rel.id,
             rel_name: rel.name,
-            input: rel.schema,
             preds,
             summarize: Summarize::GroupAgg { group_cols, aggs },
             schema,
@@ -156,11 +153,6 @@ impl RelQuery {
     /// The backing relation's name (diagnostics).
     pub fn rel_name(&self) -> &str {
         &self.rel_name
-    }
-
-    /// The relation (input) schema this query was validated against.
-    pub fn input_schema(&self) -> &Schema {
-        &self.input
     }
 
     /// The selection predicates (a conjunction; empty = σ_true).

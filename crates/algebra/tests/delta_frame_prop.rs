@@ -7,7 +7,9 @@
 //!
 //! as multisets — the delta engine computes *exactly* the new tuples, no
 //! more, no less, for every operator combination. This is checked here for
-//! randomly generated expressions and append histories.
+//! randomly generated expressions and append histories, together with the
+//! other half of Theorem 4.1: the delta and the work spent computing it do
+//! not depend on how much history the chronicles hold.
 
 use chronicle_testkit::prop::{boxed, ints, just, map, pair, triple, vec_of, weighted, Gen};
 use chronicle_testkit::{prop_assert_eq, prop_test};
@@ -25,6 +27,7 @@ use chronicle_types::{
 #[derive(Debug, Clone)]
 enum Shape {
     Select(i8),
+    Project,
     Union,
     Diff,
     JoinSeqSelves,
@@ -37,6 +40,7 @@ fn shape_gen() -> impl Gen<Value = Vec<Shape>> {
     vec_of(
         weighted(vec![
             (3, boxed(map(ints(-1..6i8), Shape::Select))),
+            (1, boxed(just(Shape::Project))),
             (2, boxed(just(Shape::Union))),
             (2, boxed(just(Shape::Diff))),
             (1, boxed(just(Shape::JoinSeqSelves))),
@@ -103,6 +107,17 @@ fn build(
                     ))
                     .unwrap_or(expr)
             }
+            Shape::Project => {
+                // SN first, then every other column reversed: an
+                // order-shuffling projection that keeps every name.
+                let sn = expr.seq_pos();
+                let mut cols: Vec<usize> = (0..expr.schema().arity())
+                    .filter(|&i| i != sn)
+                    .rev()
+                    .collect();
+                cols.insert(0, sn);
+                expr.clone().project_cols(cols).unwrap_or(expr)
+            }
             Shape::Union if expr.schema().same_type(base1.schema()) => {
                 expr.union(base2.clone()).unwrap()
             }
@@ -152,19 +167,18 @@ fn build(
     expr
 }
 
-prop_test! {
-    fn delta_is_exactly_the_difference(cases = 96, seed = 0xDE17A;
-        shapes in shape_gen(),
-        history in vec_of(triple(ints(0..2u8), ints(0..5i64), ints(0..9i64)), 1..20),
-        batch_rows in vec_of(pair(ints(0..5i64), ints(0..9i64)), 1..3),
-        target in ints(0..2u8),
-    ) {
-        let (mut cat, c1, c2, rel) = setup();
-        let expr = build(&cat, c1, c2, &rel, &shapes);
-
-        // Replay the random history.
-        let mut seq = 0u64;
-        for (t, k, v) in &history {
+/// Append every `(target, k, v)` of `history`, `times` over, one SN per
+/// row; returns the last SN admitted.
+fn replay(
+    cat: &mut Catalog,
+    c1: ChronicleId,
+    c2: ChronicleId,
+    history: &[(u8, i64, i64)],
+    times: usize,
+) -> u64 {
+    let mut seq = 0u64;
+    for _ in 0..times {
+        for (t, k, v) in history {
             seq += 1;
             let target = if *t == 0 { c1 } else { c2 };
             cat.append_at(
@@ -175,16 +189,32 @@ prop_test! {
             )
             .unwrap();
         }
+    }
+    seq
+}
+
+prop_test! {
+    fn delta_is_exactly_the_difference(cases = 96, seed = 0xDE17A;
+        shapes in shape_gen(),
+        history in vec_of(triple(ints(0..2u8), ints(0..5i64), ints(0..9i64)), 1..20),
+        batch_rows in vec_of(pair(ints(0..5i64), ints(0..9i64)), 1..3),
+        target in ints(0..2u8),
+    ) {
+        let (mut cat, c1, c2, rel) = setup();
+        let expr = build(&cat, c1, c2, &rel, &shapes);
+        let seq = replay(&mut cat, c1, c2, &history, 1) + 1;
 
         // Evaluate before.
         let before = canon(eval_ca(&cat, &expr).unwrap());
 
         // Compute the delta for the next batch, then actually append it.
-        seq += 1;
-        let tuples: Vec<Tuple> = batch_rows
-            .iter()
-            .map(|(k, v)| tuple![SeqNo(seq), *k, *v as f64])
-            .collect();
+        let batch_at = |seq: u64| -> Vec<Tuple> {
+            batch_rows
+                .iter()
+                .map(|(k, v)| tuple![SeqNo(seq), *k, *v as f64])
+                .collect()
+        };
+        let tuples = batch_at(seq);
         let chron = if target == 0 { c1 } else { c2 };
         let engine = DeltaEngine::new(&cat);
         let mut w = WorkCounter::default();
@@ -216,5 +246,28 @@ prop_test! {
         for t in &delta {
             prop_assert_eq!(expr.seq_of(t).unwrap(), SeqNo(seq));
         }
+
+        // Theorem 4.1 independence: the same batch over the history
+        // repeated 16× yields a delta of the same size for exactly the
+        // same work, field for field.
+        let (mut long, ..) = setup();
+        let long_seq = replay(&mut long, c1, c2, &history, 16) + 1;
+        let mut long_w = WorkCounter::default();
+        let long_delta = DeltaEngine::new(&long)
+            .delta_ca(
+                &expr,
+                &DeltaBatch {
+                    chronicle: chron,
+                    seq: SeqNo(long_seq),
+                    tuples: batch_at(long_seq),
+                },
+                &mut long_w,
+            )
+            .unwrap();
+        prop_assert_eq!(
+            long_delta.len(), delta.len(),
+            "delta size depends on |C| for {}", expr
+        );
+        prop_assert_eq!(long_w, w, "work depends on |C| for {}", expr);
     }
 }

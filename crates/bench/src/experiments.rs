@@ -13,7 +13,6 @@ use chronicle_algebra::delta::{DeltaBatch, DeltaEngine};
 use chronicle_algebra::{
     AggFunc, AggSpec, CaExpr, CmpOp, Predicate, RelationRef, ScaExpr, WorkCounter,
 };
-use chronicle_db::baseline::{NaiveRecomputeView, StoredThetaJoinCount};
 use chronicle_db::pipeline::ShardedPipeline;
 use chronicle_db::{shard_of_group, ChronicleDb, DurabilityOptions, FollowerDb, ShardedDb};
 use chronicle_net::{ShipEvent, Shipper, WalSource, DEFAULT_CHUNK};
@@ -26,6 +25,7 @@ use chronicle_views::{
 };
 use chronicle_workload::{AtmGen, CallGen, TradeGen};
 
+use crate::baseline::{NaiveRecomputeView, StoredThetaJoinCount};
 use crate::harness::{Figure, Series};
 
 /// One experiment of the record: its id (the `BENCH_<id>.json` name) and

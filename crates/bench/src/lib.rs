@@ -13,10 +13,12 @@
 //!
 //! `cargo run -p chronicle-bench --release --bin experiments` prints every
 //! figure as a text table (the source of EXPERIMENTS.md); `-- json` writes
-//! the `BENCH_E*.json` records at the repo root.
+//! the `BENCH_E*.json` records at the repo root. [`baseline`] holds the
+//! two non-CA comparators E1 and E7 measure against.
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod experiments;
 pub mod harness;
 pub mod json;

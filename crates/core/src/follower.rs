@@ -1,7 +1,7 @@
 //! Read-only replication follower.
 //!
 //! A [`FollowerDb`] is the receiving end of WAL log shipping: the same
-//! per-shard layout as [`ShardedDb`](crate::ShardedDb) (one `SHARDS`
+//! per-shard layout as [`ShardedDb`] (one `SHARDS`
 //! manifest, one directory per shard), recovered through the identical
 //! checkpoint-plus-WAL-tail path — but with the write-side durability
 //! layer *detached*. Mutations arrive only as raw leader WAL bytes fed

@@ -8,10 +8,6 @@
 //!
 //! The crate also contains:
 //!
-//! * [`baseline`] — the three comparators every experiment measures
-//!   against: naive recomputation (IM-C^k), classical IVM *with* chronicle
-//!   access, and hand-coded procedural summary fields (what the paper says
-//!   applications do today),
 //! * [`stats`] — append/maintenance accounting,
 //! * [`shard`] — [`ShardedDb`]: the catalog hash-partitioned by chronicle
 //!   group into independent maintenance shards (Thm 4.1 makes groups the
@@ -21,7 +17,7 @@
 //! * [`pipeline`] — the concurrent append pipeline: producers feed one
 //!   maintenance thread per shard over `std::sync::mpsc` channels
 //!   ([`pipeline::ShardedPipeline`]), so group commits and maintenance
-//!   overlap across shards; experiment E11 drives its one-shard case.
+//!   overlap across shards.
 //!
 //! Databases opened at a path ([`ChronicleDb::open`]) are durable: every
 //! mutation is written to a segmented write-ahead log, and
@@ -31,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 mod db;
 pub mod follower;
 pub mod pipeline;

@@ -300,7 +300,7 @@ impl ShardedPipelineHandle {
 
     /// Parse and execute one SQL statement through the shard workers —
     /// the full [`ShardedDb::execute`] surface over a *running* pipeline,
-    /// routed by the same [`ShardRoutes::plan`] authority.
+    /// routed by the same `ShardRoutes::plan` authority.
     ///
     /// Single-shard statements (appends, selects) take only a read lock
     /// and ride the owning shard's group-commit burst. DDL and relation

@@ -705,7 +705,7 @@ impl ShardedDb {
     /// Parse and execute one SQL statement, routed to the owning shard
     /// (relation DDL/DML broadcasts to all shards). `&mut self` serializes
     /// DDL against everything else — exclusive access is the catalog lock.
-    /// Routing decisions come from [`ShardRoutes::plan`], the same
+    /// Routing decisions come from `ShardRoutes::plan`, the same
     /// authority the concurrent pipeline's SQL front end uses.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
         self.execute_routed(sql, None)

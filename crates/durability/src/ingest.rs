@@ -199,8 +199,8 @@ impl WalIngest {
     /// The leader is about to stream the segment whose first record is
     /// `first_lsn`, starting at byte offset 0. Stale local segments past
     /// it are deleted; an existing image of the segment itself survives —
-    /// its trusted prefix counts as already received, and [`ingest`]
-    /// (WalIngest::ingest) verifies the re-shipped overlap against it.
+    /// its trusted prefix counts as already received, and
+    /// [`WalIngest::ingest`] verifies the re-shipped overlap against it.
     pub fn begin_segment(&mut self, first_lsn: u64) -> Result<()> {
         match self.cur.take() {
             // The leader moved on past the segment being received without

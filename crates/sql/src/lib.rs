@@ -1,6 +1,6 @@
 //! The declarative view-definition language of the chronicle model.
 //!
-//! §1 of the paper: *"one feature that must be provided [by] the chronicle
+//! §1 of the paper: *"one feature that must be provided \[by\] the chronicle
 //! model is support for summary queries that are specified declaratively
 //! (an SQL like language may be used)"*. This crate supplies that language:
 //! a lexer, recursive-descent parser, and a planner that lowers parsed view

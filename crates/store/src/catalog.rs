@@ -135,14 +135,6 @@ impl Catalog {
         &mut self.chronicles[id.0 as usize]
     }
 
-    /// The chronicles belonging to one group, in creation order — the unit
-    /// a maintenance shard owns (Thm 4.1: joins never cross a group, so a
-    /// group's chronicles and the views over them are independent of every
-    /// other group's).
-    pub fn chronicles_in_group(&self, group: GroupId) -> impl Iterator<Item = &Chronicle> {
-        self.chronicles.iter().filter(move |c| c.group() == group)
-    }
-
     /// Append a batch of tuples to chronicle `id` at temporal instant `at`.
     ///
     /// The group allocates the next sequence number; every tuple's
@@ -240,17 +232,6 @@ impl Catalog {
         self.relations[id.0 as usize].insert(tuple, hw)
     }
 
-    /// Delete from relation `id`, stamped with group `group`'s high-water.
-    pub fn relation_delete(
-        &mut self,
-        id: RelationId,
-        group: GroupId,
-        tuple: &Tuple,
-    ) -> Result<bool> {
-        let hw = self.groups[group.0 as usize].high_water();
-        self.relations[id.0 as usize].delete(tuple, hw)
-    }
-
     /// Update by key in relation `id`, stamped with group `group`'s
     /// high-water.
     pub fn relation_update(
@@ -262,11 +243,6 @@ impl Catalog {
     ) -> Result<()> {
         let hw = self.groups[group.0 as usize].high_water();
         self.relations[id.0 as usize].update_by_key(key, new, hw)
-    }
-
-    /// Number of relations.
-    pub fn relation_count(&self) -> usize {
-        self.relations.len()
     }
 
     /// Iterate relations with their names, in id order.

@@ -103,11 +103,6 @@ impl ChronicleGroup {
         self.timeline.get(idx).map(|&(s, _)| s)
     }
 
-    /// Number of admitted (SeqNo, Chronon) points.
-    pub fn timeline_len(&self) -> usize {
-        self.timeline.len()
-    }
-
     /// Restore the watermark from a checkpoint image: the high-water mark
     /// plus the last admitted (SN, chronon) point. The full timeline is
     /// deliberately not persisted — durable state must stay `O(|V|)`, not

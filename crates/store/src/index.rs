@@ -1,18 +1,12 @@
-//! Secondary index structures.
+//! The primary-key index of a [`crate::Relation`].
 //!
-//! Relations expose two index shapes:
-//!
-//! * [`HashIndex`] — O(1) expected equality lookup; used for primary keys
-//!   and the CA⋈ key join.
-//! * [`BTreeIndex`] — O(log n) lookup plus ordered range scans; used where
-//!   the Theorem 4.2 cost model charges `log |R|` per probe and for range
-//!   predicates.
-//!
-//! Both map a *key* (the values of the indexed attribute positions, in
-//! order) to the set of row slots holding matching tuples. Row slots are the
-//! stable `usize` handles issued by [`crate::Relation`].
+//! [`HashIndex`] maps a *key* (the values of the indexed attribute
+//! positions, in order) to the row slots holding matching tuples, with O(1)
+//! expected equality lookup; it serves primary-key access and the CA⋈ key
+//! join. Row slots are the stable `usize` handles issued by
+//! [`crate::Relation`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use chronicle_types::{Tuple, Value};
 
@@ -73,66 +67,6 @@ impl HashIndex {
     }
 }
 
-/// Ordered index over a list of attribute positions.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeIndex {
-    cols: Vec<usize>,
-    map: BTreeMap<Vec<Value>, Vec<usize>>,
-}
-
-impl BTreeIndex {
-    /// Create an empty index on attribute positions `cols`.
-    pub fn new(cols: Vec<usize>) -> Self {
-        BTreeIndex {
-            cols,
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// The indexed attribute positions.
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Register `slot` as holding `tuple`.
-    pub fn insert(&mut self, tuple: &Tuple, slot: usize) {
-        self.map
-            .entry(key_of(tuple, &self.cols))
-            .or_default()
-            .push(slot);
-    }
-
-    /// Remove `slot` (which held `tuple`).
-    pub fn remove(&mut self, tuple: &Tuple, slot: usize) {
-        let key = key_of(tuple, &self.cols);
-        if let Some(slots) = self.map.get_mut(&key) {
-            if let Some(pos) = slots.iter().position(|&s| s == slot) {
-                slots.swap_remove(pos);
-            }
-            if slots.is_empty() {
-                self.map.remove(&key);
-            }
-        }
-    }
-
-    /// Slots whose tuples have exactly this `key` (O(log n)).
-    pub fn lookup(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Slots whose keys lie in `[lo, hi]` inclusive, in key order.
-    pub fn range(&self, lo: &[Value], hi: &[Value]) -> impl Iterator<Item = usize> + '_ {
-        self.map
-            .range(lo.to_vec()..=hi.to_vec())
-            .flat_map(|(_, slots)| slots.iter().copied())
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,26 +95,6 @@ mod tests {
     fn hash_index_missing_key_is_empty() {
         let idx = HashIndex::new(vec![0]);
         assert!(idx.lookup(&[Value::Int(99)]).is_empty());
-    }
-
-    #[test]
-    fn btree_index_range_scan() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        for i in 0..10i64 {
-            idx.insert(&tuple![i, "x"], i as usize);
-        }
-        let hits: Vec<usize> = idx.range(&[Value::Int(3)], &[Value::Int(6)]).collect();
-        assert_eq!(hits, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn btree_index_remove_clears_empty_keys() {
-        let mut idx = BTreeIndex::new(vec![1]);
-        let t = tuple![1i64, "k"];
-        idx.insert(&t, 0);
-        assert_eq!(idx.distinct_keys(), 1);
-        idx.remove(&t, 0);
-        assert_eq!(idx.distinct_keys(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! *(C, R, L, V)*. This crate provides the first two components plus the
 //! plumbing they need:
 //!
-//! * [`Relation`] — an in-memory relation with optional primary key and
-//!   secondary indexes,
+//! * [`Relation`] — an in-memory relation with an optional primary-key
+//!   hash index,
 //! * [`TemporalRelation`] — a relation that additionally records its version
 //!   history against the chronicle-group sequence domain, enforcing the
 //!   *proactive update* rule of §2.3 and supporting `version_at(seq)`
@@ -34,6 +34,6 @@ pub use catalog::Catalog;
 pub use chronicle::{Chronicle, Retention};
 pub use chunk::{Chunk, ChunkArena, ColumnSlice, ColumnVec};
 pub use group::ChronicleGroup;
-pub use index::{BTreeIndex, HashIndex};
+pub use index::HashIndex;
 pub use relation::Relation;
 pub use temporal::{RelationChange, TemporalRelation};

@@ -1,16 +1,15 @@
-//! In-memory relations with indexes.
+//! In-memory relations with a primary-key index.
 
 use std::collections::HashMap;
 
 use chronicle_types::{ChronicleError, Result, Schema, Tuple, Value};
 
-use crate::index::{key_of, BTreeIndex, HashIndex};
+use crate::index::{key_of, HashIndex};
 
 /// An in-memory relation: a set of tuples conforming to a [`Schema`], with
-/// an optional primary-key hash index and any number of secondary B-tree
-/// indexes.
+/// an optional primary-key hash index.
 ///
-/// Rows live in stable *slots* so indexes can reference them cheaply;
+/// Rows live in stable *slots* so the index can reference them cheaply;
 /// deleted slots are recycled through a free list.
 #[derive(Debug, Clone)]
 pub struct Relation {
@@ -20,8 +19,6 @@ pub struct Relation {
     len: usize,
     /// Primary-key index (present iff the schema declares a key).
     pk: Option<HashIndex>,
-    /// Secondary indexes, keyed by their column lists.
-    secondary: Vec<BTreeIndex>,
 }
 
 impl Relation {
@@ -35,7 +32,6 @@ impl Relation {
             free: Vec::new(),
             len: 0,
             pk,
-            secondary: Vec::new(),
         }
     }
 
@@ -52,24 +48,6 @@ impl Relation {
     /// True iff the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Add a secondary B-tree index on the named attributes. Existing rows
-    /// are indexed immediately. Returns the index's position, usable with
-    /// [`Relation::lookup_secondary`].
-    pub fn add_index(&mut self, attrs: &[&str]) -> Result<usize> {
-        let cols: Vec<usize> = attrs
-            .iter()
-            .map(|a| self.schema.position(a))
-            .collect::<Result<_>>()?;
-        let mut idx = BTreeIndex::new(cols);
-        for (slot, t) in self.slots.iter().enumerate() {
-            if let Some(t) = t {
-                idx.insert(t, slot);
-            }
-        }
-        self.secondary.push(idx);
-        Ok(self.secondary.len() - 1)
     }
 
     /// Insert a tuple. Enforces schema conformance and, if a key is
@@ -96,9 +74,6 @@ impl Relation {
         };
         if let Some(pk) = &mut self.pk {
             pk.insert(&tuple, slot);
-        }
-        for idx in &mut self.secondary {
-            idx.insert(&tuple, slot);
         }
         self.len += 1;
         Ok(())
@@ -136,9 +111,6 @@ impl Relation {
             if let Some(pk) = &mut self.pk {
                 pk.remove(&tuple, slot);
             }
-            for idx in &mut self.secondary {
-                idx.remove(&tuple, slot);
-            }
             self.free.push(slot);
             self.len -= 1;
         }
@@ -167,17 +139,8 @@ impl Relation {
             .and_then(|&slot| self.slots[slot].as_ref())
     }
 
-    /// Tuples matching `key` on secondary index `idx` (ordered, O(log n)).
-    pub fn lookup_secondary(&self, idx: usize, key: &[Value]) -> Vec<&Tuple> {
-        self.secondary[idx]
-            .lookup(key)
-            .iter()
-            .filter_map(|&s| self.slots[s].as_ref())
-            .collect()
-    }
-
-    /// Tuples whose values at `cols` equal `key`, using the best available
-    /// access path: primary key → secondary index → full scan. The second
+    /// Tuples whose values at `cols` equal `key`, through the primary-key
+    /// index when `cols` is the key, else by a full scan. The second
     /// component of the return value reports whether an index was used
     /// (feeding the work-counter model of Theorem 4.2, where an index probe
     /// costs `log |R|` and a scan costs `|R|`).
@@ -185,16 +148,6 @@ impl Relation {
         if let Some(pk) = &self.pk {
             if pk.cols() == cols {
                 let hits = pk
-                    .lookup(key)
-                    .iter()
-                    .filter_map(|&s| self.slots[s].as_ref())
-                    .collect();
-                return (hits, true);
-            }
-        }
-        for idx in &self.secondary {
-            if idx.cols() == cols {
-                let hits = idx
                     .lookup(key)
                     .iter()
                     .filter_map(|&s| self.slots[s].as_ref())
@@ -325,21 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn secondary_index_lookup() {
-        let mut r = customers();
-        r.insert(tuple![1i64, "alice", "NJ"]).unwrap();
-        r.insert(tuple![2i64, "bob", "NJ"]).unwrap();
-        r.insert(tuple![3i64, "carol", "NY"]).unwrap();
-        let idx = r.add_index(&["state"]).unwrap();
-        assert_eq!(r.lookup_secondary(idx, &[Value::str("NJ")]).len(), 2);
-        assert_eq!(r.lookup_secondary(idx, &[Value::str("NY")]).len(), 1);
-        assert!(r.lookup_secondary(idx, &[Value::str("TX")]).is_empty());
-        // Index stays consistent across deletes.
-        r.delete_by_key(&[Value::Int(1)]).unwrap();
-        assert_eq!(r.lookup_secondary(idx, &[Value::str("NJ")]).len(), 1);
-    }
-
-    #[test]
     fn lookup_cols_reports_access_path() {
         let mut r = customers();
         r.insert(tuple![1i64, "alice", "NJ"]).unwrap();
@@ -348,10 +286,7 @@ mod tests {
         assert!(indexed, "pk lookup should be indexed");
         let (hits, indexed) = r.lookup_cols(&[2], &[Value::str("NJ")]);
         assert_eq!(hits.len(), 1);
-        assert!(!indexed, "no index on state yet");
-        r.add_index(&["state"]).unwrap();
-        let (_, indexed) = r.lookup_cols(&[2], &[Value::str("NJ")]);
-        assert!(indexed, "secondary index should now be used");
+        assert!(!indexed, "a non-key column is scanned");
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl TemporalRelation {
         &self.current
     }
 
-    /// Mutable access used by index management (`add_index`).
-    pub fn current_mut(&mut self) -> &mut Relation {
-        &mut self.current
-    }
-
     /// Stamp of the newest logged change (`SeqNo(0)` if none). Callers
     /// that derive a stamp from a group watermark clamp against this:
     /// equal stamps are always accepted, so a watermark that moved
@@ -232,8 +227,7 @@ impl TemporalRelation {
 
     /// Replace the full temporal state from a checkpoint image: base rows
     /// at `floor` plus the change log above it; the current version is
-    /// rebuilt by replaying the log. Secondary indexes are not restored —
-    /// callers that need them re-issue `add_index` after recovery.
+    /// rebuilt by replaying the log.
     pub fn restore_state(
         &mut self,
         base_rows: Vec<Tuple>,

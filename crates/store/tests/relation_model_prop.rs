@@ -1,6 +1,6 @@
 //! Model-based property test for [`chronicle_store::Relation`]: a random
 //! sequence of inserts / keyed deletes / upserts must leave the relation,
-//! its primary-key index, and its secondary indexes in exact agreement
+//! its primary-key index, and its non-key column lookups in exact agreement
 //! with a naive `BTreeMap` model.
 
 use std::collections::BTreeMap;
@@ -61,7 +61,6 @@ prop_test! {
         )
         .unwrap();
         let mut rel = Relation::new(schema);
-        let state_idx = rel.add_index(&["state"]).unwrap();
         let mut model: BTreeMap<i64, Tuple> = BTreeMap::new();
 
         for op in &ops {
@@ -94,22 +93,23 @@ prop_test! {
                 prop_assert_eq!(rel.get_by_key(&[Value::Int(*k)]), Some(t));
                 prop_assert!(rel.contains(t));
             }
-            // Secondary index completeness: for every state, the indexed
-            // rows equal the model's filter.
+            // Non-key lookups: for every state, the rows `lookup_cols`
+            // finds (by scan) equal the model's filter.
             for state in STATES.iter() {
-                let mut via_index: Vec<Tuple> = rel
-                    .lookup_secondary(state_idx, &[Value::str(*state)])
+                let (hits, indexed) = rel.lookup_cols(&[2], &[Value::str(*state)]);
+                prop_assert!(!indexed);
+                let mut via_lookup: Vec<Tuple> = hits
                     .into_iter()
                     .cloned()
                     .collect();
-                via_index.sort();
+                via_lookup.sort();
                 let mut via_model: Vec<Tuple> = model
                     .values()
                     .filter(|t| t.get(2) == &Value::str(*state))
                     .cloned()
                     .collect();
                 via_model.sort();
-                prop_assert_eq!(via_index, via_model, "state index diverged for {}", state);
+                prop_assert_eq!(via_lookup, via_model, "state lookup diverged for {}", state);
             }
         }
     }

@@ -12,11 +12,13 @@
 //! * combinators: [`ints`], [`floats`], [`bools`], [`option_of`],
 //!   [`vec_of`], [`pair`], [`triple`], [`weighted`], [`just`], [`map`],
 //!   [`from_fn`];
-//! * the [`prop_test!`] macro declaring a `#[test]` with a case count and
-//!   seed;
-//! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`] for
-//!   failures that carry a message (plain `assert!` and `unwrap` panics are
-//!   also caught and shrunk).
+//! * the [`prop_test!`](crate::prop_test) macro declaring a `#[test]` with
+//!   a case count and seed;
+//! * [`prop_assert!`](crate::prop_assert) /
+//!   [`prop_assert_eq!`](crate::prop_assert_eq) /
+//!   [`prop_assert_ne!`](crate::prop_assert_ne) for failures that carry a
+//!   message (plain `assert!` and `unwrap` panics are also caught and
+//!   shrunk).
 
 use std::fmt::Debug;
 use std::ops::Range;

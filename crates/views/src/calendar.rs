@@ -1,7 +1,7 @@
 //! Calendars: sets of time intervals for periodic views (§5.1).
 //!
 //! *"Given a view V in summary algebra, and a calendar D (i.e., a set of
-//! time intervals), V<D> specifies a set of views V₁, …, V_k, one for each
+//! time intervals), `V<D>` specifies a set of views V₁, …, V_k, one for each
 //! interval in the calendar D."* Calendars may contain infinitely many
 //! intervals (e.g. "every month, forever"); expiration dates make the
 //! infinite family implementable by keeping only finitely many live views.

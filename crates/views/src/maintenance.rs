@@ -205,11 +205,6 @@ impl Maintainer {
         &mut self.periodic[idx]
     }
 
-    /// Number of registered periodic families.
-    pub fn periodic_count(&self) -> usize {
-        self.periodic.len()
-    }
-
     /// Materialize a view from fully stored chronicle history.
     pub fn bootstrap_view(&mut self, id: ViewId, catalog: &Catalog) -> Result<()> {
         self.view_mut(id)?.bootstrap(catalog)
@@ -283,12 +278,6 @@ impl Maintainer {
     /// The relation-backed view with this name.
     pub fn rel_view_by_name(&self, name: &str) -> Result<&RelationView> {
         self.rel_view(self.view_id(name)?)
-    }
-
-    /// True iff `name` resolves to a relation-backed view.
-    pub fn is_relation_view(&self, name: &str) -> bool {
-        self.view_id(name)
-            .is_ok_and(|id| self.rel_views.contains_key(&id))
     }
 
     /// Point lookup: one group's row of a named view (the paper's

@@ -1,6 +1,6 @@
 //! Periodic persistent views — the `V<D>` construct of §5.1.
 //!
-//! *"Given a view V in summary algebra, and a calendar D, V<D> specifies a
+//! *"Given a view V in summary algebra, and a calendar D, `V<D>` specifies a
 //! set of views V₁, …, V_k, one for each interval in the calendar D."*
 //!
 //! The implementation applies the paper's two optimizations:

@@ -194,11 +194,6 @@ impl SkewedCallGen {
         (rank, self.calls.next_row())
     }
 
-    /// Just the next target rank (callers that build their own rows).
-    pub fn next_rank(&mut self) -> usize {
-        self.dist.sample(&mut self.rng)
-    }
-
     /// The distribution driving the mix.
     pub fn distribution(&self) -> &Zipf {
         &self.dist

@@ -9,12 +9,14 @@
 //! impossible. The example also demonstrates:
 //!
 //! * the concurrent append pipeline (many ATMs, one maintainer),
-//! * a deliberately buggy procedural updater side-by-side (the status quo),
+//! * a deliberately buggy hand-coded updater side-by-side (the status quo:
+//!   a summary field in a `HashMap`, folded by application code),
 //! * the ATM precondition: *"a summary field (dollar_balance) be updated as
 //!   the transaction is executed, since the summary query needs to be made
 //!   before the next ATM withdrawal"*.
 
-use chronicle::db::baseline::ProceduralSummary;
+use std::collections::HashMap;
+
 use chronicle::db::pipeline::ShardedPipeline;
 use chronicle::prelude::*;
 use chronicle::workload::AtmGen;
@@ -27,21 +29,15 @@ fn main() -> Result<(), ChronicleError> {
          FROM atm GROUP BY acct",
     )?;
 
-    // The status-quo comparator: hand-written updating code with the
-    // classic double-post bug (withdrawals applied twice).
-    let mut buggy = ProceduralSummary::new(vec![1], |old, t| {
-        let amount = t.get(2).as_float().unwrap_or(0.0);
-        if amount < 0.0 {
-            old + 2.0 * amount // the Chemical Bank bug
-        } else {
-            old + amount
-        }
-    });
+    // The status-quo comparator: a hand-maintained `dollar_balance` field
+    // per account, updated by application code with the classic
+    // double-post bug (withdrawals applied twice).
+    let mut buggy: HashMap<i64, f64> = HashMap::new();
 
     // Four ATMs post transactions concurrently through the pipeline.
     let pipeline = ShardedPipeline::start(db.into(), 256);
     let mut handles = Vec::new();
-    let (tx, rx) = std::sync::mpsc::channel::<Tuple>();
+    let (tx, rx) = std::sync::mpsc::channel::<Vec<Value>>();
     for atm_id in 0..4u64 {
         let h = pipeline.handle();
         let tx = tx.clone();
@@ -51,19 +47,23 @@ fn main() -> Result<(), ChronicleError> {
                 let row = gen.next_row();
                 // Wall-clock ties across concurrent ATMs are fine: the
                 // group's chronon only needs to be non-decreasing.
-                let out = h
-                    .append("atm", Chronon(0), vec![row.clone()])
+                h.append("atm", Chronon(0), vec![row.clone()])
                     .expect("pipeline append");
-                // Ship the same record to the buggy procedural code path.
-                let mut values = vec![Value::Seq(out.seq)];
-                values.extend(row);
-                tx.send(Tuple::new(values)).expect("collector alive");
+                // Ship the same record to the buggy hand-coded path.
+                tx.send(row).expect("collector alive");
             }
         }));
     }
     drop(tx);
-    for t in rx {
-        buggy.on_tuple(&t);
+    for row in rx {
+        let acct = row[0].as_int().expect("acct is INT");
+        let amount = row[1].as_float().unwrap_or(0.0);
+        let balance = buggy.entry(acct).or_insert(0.0);
+        if amount < 0.0 {
+            *balance += 2.0 * amount; // the Chemical Bank bug
+        } else {
+            *balance += amount;
+        }
     }
     for h in handles {
         h.join().expect("atm thread");
@@ -71,7 +71,7 @@ fn main() -> Result<(), ChronicleError> {
     let db = pipeline.shutdown();
 
     // Compare balances.
-    println!("acct | chronicle view | buggy procedural code | diff");
+    println!("acct | chronicle view | buggy hand-coded field | diff");
     let mut worst = 0.0f64;
     for acct in 0..8i64 {
         let key = [Value::Int(acct)];
@@ -79,7 +79,7 @@ fn main() -> Result<(), ChronicleError> {
             .query_view_key("balances", &key)?
             .and_then(|r| r.get(1).as_float())
             .unwrap_or(0.0);
-        let bugged = buggy.get(&key);
+        let bugged = buggy.get(&acct).copied().unwrap_or(0.0);
         let diff = (correct - bugged).abs();
         worst = worst.max(diff);
         println!("{acct:4} | {correct:14.2} | {bugged:21.2} | {diff:8.2}");

@@ -26,6 +26,11 @@ cargo build --release --offline --workspace
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (offline, deny warnings) =="
+# Intra-doc links must resolve: a deletion that leaves a dangling
+# [`item`] reference in a doc comment fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== examples (offline) =="
 cargo build --offline --examples
 

@@ -7,17 +7,18 @@
 //! This facade crate re-exports the public API of every workspace crate:
 //!
 //! * [`types`] — values, tuples, schemas, sequence numbers, errors,
-//! * [`store`] — relations, indexes, temporal versioning, chronicles,
-//!   chronicle groups,
+//! * [`store`] — relations with primary-key indexes, temporal versioning,
+//!   chronicles, chronicle groups,
 //! * [`algebra`] — chronicle algebra (CA/CA₁/CA⋈), summarized chronicle
 //!   algebra (SCA), validation, IM-complexity classification, the delta
-//!   propagation engine, and a full relational-algebra oracle,
+//!   propagation engine, and the full evaluator over stored chronicles
+//!   that serves as the correctness oracle,
 //! * [`views`] — persistent views, the maintenance engine and affected-view
 //!   router, calendars and periodic views, sliding-window optimization, and
 //!   tiered batch-to-incremental computations,
 //! * [`sql`] — the declarative SQL-like view-definition language,
 //! * [`db`] — the [`db::ChronicleDb`] facade tying the quadruple
-//!   (C, R, L, V) together, plus baselines and a concurrent append pipeline,
+//!   (C, R, L, V) together, plus sharding and a concurrent append pipeline,
 //! * [`durability`] — segmented write-ahead log, view checkpointing, and
 //!   crash recovery backing [`db::ChronicleDb::open`],
 //! * [`net`] — the wire protocol: a leader [`net::Server`] serving SQL

@@ -104,7 +104,7 @@
 //! [`chronicle_net::Message`] frames, pushed through a
 //! [`chronicle_simkit::SimPipe`] that re-chunks deliveries at seeded byte
 //! boundaries, decoded by the real
-//! [`FrameDecoder`](chronicle_net::frame::FrameDecoder), and applied
+//! [`FrameDecoder`], and applied
 //! through the follower's ingest path. The seeded driver interleaves
 //! leader statements with partial shipping, then injects the three
 //! network-era faults: connection cuts (in-flight bytes lost mid-frame),
@@ -1810,7 +1810,7 @@ struct FailoverNodes {
 ///   replaying the surviving lineage exactly once per statement.
 /// * **Stale terms are fenced.** After every promotion, a stream
 ///   carrying the deposed term is offered to the new lineage's follower
-///   and must be refused with a typed [`ChronicleError::Fenced`] error.
+///   and must be refused with a typed [`ChronicleError::Fenced`](chronicle_types::ChronicleError::Fenced) error.
 ///
 /// `cfg.ops` sets the number of event rounds. At least one promotion and
 /// one lost-ack retry probe run per seed (forced if the dice never roll
