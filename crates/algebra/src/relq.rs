@@ -11,11 +11,13 @@
 //! rejects the constructions Theorem 4.3 excludes.
 //!
 //! A [`RelQuery`] is the validated, stateless description; the
-//! materialized state lives in `chronicle-views`' `RelationView`. Deltas
-//! flow as [`crate::ZSet`]s (an insert is `+1`, a delete `−1`, an update a
-//! `−old +new` pair) through [`RelQuery::delta`], producing the same
-//! signed [`SummaryDelta`] that chronicle views apply — one delta path for
-//! every maintenance event in the system.
+//! materialized state is `chronicle-views`' one `PersistentView` state,
+//! the same one chronicle views use (a `ViewDef::Relation` definition
+//! gives its groups a live-row count). Deltas flow as [`crate::ZSet`]s (an
+//! insert is `+1`, a delete `−1`, an update a `−old +new` pair) through
+//! [`RelQuery::delta`], producing the same signed [`SummaryDelta`] that
+//! chronicle views apply — one delta path and one view state for every
+//! maintenance event in the system.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -893,11 +893,7 @@ pub fn e12_proactive(scale: u32) -> Figure {
     }
     // Oracle: evaluate the view definition over the stored chronicle with
     // exact per-SN relation versions.
-    let expr = db
-        .maintainer()
-        .view_by_name("nj_flights")
-        .expect("registered")
-        .expr();
+    let expr = db.maintainer().expr_of("nj_flights").expect("registered");
     let oracle = chronicle_algebra::eval::canon(
         chronicle_algebra::eval::eval_sca(db.catalog(), expr).expect("stored"),
     );

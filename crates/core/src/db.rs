@@ -11,8 +11,7 @@ use chronicle_durability::{
 };
 use chronicle_simkit::{RealFs, Vfs};
 use chronicle_sql::{
-    parse, plan_any_view, plan_view, resolve_literal_row, CalendarSpec, PlannedView, RetentionSpec,
-    Statement,
+    parse, plan_any_view, plan_view, resolve_literal_row, CalendarSpec, RetentionSpec, Statement,
 };
 use chronicle_store::{Catalog, RelationChange, Retention};
 use chronicle_types::{
@@ -21,6 +20,7 @@ use chronicle_types::{
 };
 use chronicle_views::{
     AppendEvent, BatchMode, Calendar, Maintainer, MaintenanceReport, PeriodicViewSet, RouteMode,
+    ViewDef,
 };
 
 use crate::stats::DbStats;
@@ -946,40 +946,7 @@ impl ChronicleDb {
     /// log for replay, so view DDL must go through
     /// [`ChronicleDb::execute`].
     pub fn create_view(&mut self, name: &str, expr: ScaExpr) -> Result<ViewId> {
-        self.create_view_inner(name, expr, None)
-    }
-
-    fn create_view_inner(
-        &mut self,
-        name: &str,
-        expr: ScaExpr,
-        source: Option<&str>,
-    ) -> Result<ViewId> {
-        if self.durability.is_some() && source.is_none() {
-            return Err(ChronicleError::Durability {
-                detail: format!(
-                    "create_view(`{name}`) on a durable database: define views with SQL \
-                     (`execute`) so the definition can be logged for recovery"
-                ),
-            });
-        }
-        let has_history = expr.ca().base_chronicles().iter().any(|&c| {
-            let ch = self.catalog.chronicle(c);
-            ch.total_appended() > 0
-        });
-        let id = self.maintainer.register(name, expr)?;
-        if has_history {
-            // Bootstrapping needs full retention; surface the error (and
-            // roll back the registration) if history is gone.
-            if let Err(e) = self.maintainer.bootstrap_view(id, &self.catalog) {
-                self.maintainer.drop_view(name)?;
-                return Err(e);
-            }
-        }
-        if let Some(sql) = source {
-            self.log_ddl(sql.to_string())?;
-        }
-        Ok(id)
+        self.create_view_inner(name, ViewDef::Chronicle(expr), None)
     }
 
     /// Create a relation-backed view from a pre-built [`RelQuery`],
@@ -991,27 +958,41 @@ impl ChronicleDb {
     /// rejected on a durable database — use SQL so the definition is
     /// logged for recovery.
     pub fn create_relation_view(&mut self, name: &str, query: RelQuery) -> Result<ViewId> {
-        self.create_relation_view_inner(name, query, None)
+        self.create_view_inner(name, ViewDef::Relation(query), None)
     }
 
-    fn create_relation_view_inner(
+    fn create_view_inner(
         &mut self,
         name: &str,
-        query: RelQuery,
+        def: ViewDef,
         source: Option<&str>,
     ) -> Result<ViewId> {
         if self.durability.is_some() && source.is_none() {
             return Err(ChronicleError::Durability {
                 detail: format!(
-                    "create_relation_view(`{name}`) on a durable database: define views with \
-                     SQL (`execute`) so the definition can be logged for recovery"
+                    "creating view `{name}` on a durable database: define views with SQL \
+                     (`execute`) so the definition can be logged for recovery"
                 ),
             });
         }
-        let id = self.maintainer.register_relation_view(name, query)?;
-        if let Err(e) = self.maintainer.bootstrap_relation_view(id, &self.catalog) {
-            self.maintainer.drop_view(name)?;
-            return Err(e);
+        // A relation is fully stored, so its view always bootstraps; a
+        // chronicle view only when history has flowed.
+        let bootstrap = match &def {
+            ViewDef::Chronicle(expr) => expr
+                .ca()
+                .base_chronicles()
+                .iter()
+                .any(|&c| self.catalog.chronicle(c).total_appended() > 0),
+            ViewDef::Relation(_) => true,
+        };
+        let id = self.maintainer.register(name, def)?;
+        if bootstrap {
+            // Bootstrapping a chronicle view needs full retention; surface
+            // the error (and roll back the registration) if history is gone.
+            if let Err(e) = self.maintainer.bootstrap_view(id, &self.catalog) {
+                self.maintainer.drop_view(name)?;
+                return Err(e);
+            }
         }
         if let Some(sql) = source {
             self.log_ddl(sql.to_string())?;
@@ -1242,7 +1223,7 @@ impl ChronicleDb {
     /// report into the statistics. An in-place update that leaves the
     /// tuple unchanged consolidates to the empty Z-set and is a no-op.
     fn propagate_relation_delta(&mut self, rid: RelationId, delta: ZSet) -> Result<()> {
-        if self.maintainer.relation_view_count() == 0 || delta.is_empty() {
+        if delta.is_empty() || !self.maintainer.has_relation_views(rid) {
             return Ok(());
         }
         let report = self.maintainer.on_relation_change(rid, &delta)?;
@@ -1499,14 +1480,8 @@ impl ChronicleDb {
                 Ok(ExecOutcome::Created("relation", name))
             }
             Statement::CreateView { name, query } => {
-                match plan_any_view(&self.catalog, &query)? {
-                    PlannedView::Chronicle(expr) => {
-                        self.create_view_inner(&name, expr, source)?;
-                    }
-                    PlannedView::Relation(q) => {
-                        self.create_relation_view_inner(&name, q, source)?;
-                    }
-                }
+                let def = plan_any_view(&self.catalog, &query)?;
+                self.create_view_inner(&name, def, source)?;
                 Ok(ExecOutcome::Created("view", name))
             }
             Statement::CreatePeriodicView {
@@ -1626,8 +1601,6 @@ impl ChronicleDb {
         // Views first, then relations, then chronicle windows (§2.2:
         // "detailed queries over some latest window on the chronicle").
         let (rows, schema) = if let Ok(v) = self.maintainer.view_by_name(target) {
-            (v.rows(), v.schema().clone())
-        } else if let Ok(v) = self.maintainer.rel_view_by_name(target) {
             (v.rows(), v.schema().clone())
         } else if let Ok(rid) = self.catalog.relation_id(target) {
             let rel = self.catalog.relation(rid).current();

@@ -578,9 +578,6 @@ impl ShardedDb {
             for v in db.maintainer().iter_views() {
                 routes.views.insert(v.name().to_string(), i);
             }
-            for v in db.maintainer().iter_relation_views() {
-                routes.views.insert(v.name().to_string(), i);
-            }
             for p in db.periodic_view_names() {
                 routes.periodic.insert(p.to_string(), i);
             }

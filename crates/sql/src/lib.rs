@@ -51,4 +51,4 @@ pub use ast::{
 };
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::parse;
-pub use planner::{plan_any_view, plan_view, resolve_literal_row, PlannedView};
+pub use planner::{plan_any_view, plan_view, resolve_literal_row};

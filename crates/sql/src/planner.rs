@@ -18,6 +18,7 @@ use chronicle_algebra::{
 };
 use chronicle_store::Catalog;
 use chronicle_types::{ChronicleError, Result, Schema, SeqNo, Tuple, Value};
+use chronicle_views::ViewDef;
 
 use crate::ast::{AggCall, Literal, SelectItem, ViewQuery, WhereAtom, WhereClause, WhereRhs};
 
@@ -289,30 +290,18 @@ pub fn plan_view(catalog: &Catalog, query: &ViewQuery) -> Result<ScaExpr> {
     }
 }
 
-/// A planned `CREATE VIEW`: chronicle-backed (SCA, append-only
-/// maintenance) or relation-backed (RQ, maintained under inserts, updates
-/// and deletes via signed Z-set deltas).
-#[derive(Debug, Clone)]
-pub enum PlannedView {
-    /// `FROM` named a chronicle.
-    Chronicle(ScaExpr),
-    /// `FROM` named a relation.
-    Relation(RelQuery),
-}
-
 /// Lower a parsed view query against whichever source `FROM` names: a
-/// chronicle plans to SCA exactly as [`plan_view`]; a relation plans onto
-/// the retractable [`RelQuery`] fragment (σ/Π/γ, no joins).
-pub fn plan_any_view(catalog: &Catalog, query: &ViewQuery) -> Result<PlannedView> {
-    if catalog.chronicle_id(&query.from).is_ok() {
-        return plan_view(catalog, query).map(PlannedView::Chronicle);
+/// chronicle plans to SCA exactly as [`plan_view`] (append-only
+/// maintenance); a relation plans onto the retractable [`RelQuery`]
+/// fragment (σ/Π/γ, no joins; maintained under inserts, updates and
+/// deletes via signed Z-set deltas).
+pub fn plan_any_view(catalog: &Catalog, query: &ViewQuery) -> Result<ViewDef> {
+    if catalog.relation_id(&query.from).is_ok() && catalog.chronicle_id(&query.from).is_err() {
+        return plan_relation_view(catalog, query).map(ViewDef::Relation);
     }
-    if catalog.relation_id(&query.from).is_ok() {
-        return plan_relation_view(catalog, query).map(PlannedView::Relation);
-    }
-    // Neither exists: surface the chronicle-resolution error, which names
-    // the missing source.
-    plan_view(catalog, query).map(PlannedView::Chronicle)
+    // A chronicle — or neither, and then the chronicle-resolution error
+    // names the missing source.
+    plan_view(catalog, query).map(ViewDef::Chronicle)
 }
 
 /// Lower a view whose `FROM` is a relation onto [`RelQuery`].
@@ -717,8 +706,8 @@ mod tests {
     fn plan_rel(cat: &Catalog, sql: &str) -> Result<RelQuery> {
         match parse(sql)? {
             Statement::CreateView { query, .. } => match plan_any_view(cat, &query)? {
-                PlannedView::Relation(q) => Ok(q),
-                PlannedView::Chronicle(_) => panic!("expected a relation view"),
+                ViewDef::Relation(q) => Ok(q),
+                ViewDef::Chronicle(_) => panic!("expected a relation view"),
             },
             other => panic!("expected CREATE VIEW, got {other:?}"),
         }
@@ -789,7 +778,7 @@ mod tests {
             Statement::CreateView { query, .. } => {
                 assert!(matches!(
                     plan_any_view(&cat, &query).unwrap(),
-                    PlannedView::Chronicle(_)
+                    ViewDef::Chronicle(_)
                 ));
             }
             _ => unreachable!(),

@@ -17,7 +17,7 @@ pub(crate) fn key_of(tuple: &Tuple, cols: &[usize]) -> Vec<Value> {
 
 /// Hash index over a list of attribute positions.
 #[derive(Debug, Clone, Default)]
-pub struct HashIndex {
+pub(crate) struct HashIndex {
     cols: Vec<usize>,
     map: HashMap<Vec<Value>, Vec<usize>>,
 }
@@ -60,11 +60,6 @@ impl HashIndex {
     pub fn lookup(&self, key: &[Value]) -> &[usize] {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -83,12 +78,12 @@ mod tests {
         idx.insert(&t3, 12);
         assert_eq!(idx.lookup(&[Value::Int(1)]).len(), 2);
         assert_eq!(idx.lookup(&[Value::Int(2)]), &[12]);
-        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(idx.map.len(), 2);
         idx.remove(&t1, 10);
         assert_eq!(idx.lookup(&[Value::Int(1)]), &[11]);
         idx.remove(&t2, 11);
         assert!(idx.lookup(&[Value::Int(1)]).is_empty());
-        assert_eq!(idx.distinct_keys(), 1);
+        assert_eq!(idx.map.len(), 1);
     }
 
     #[test]

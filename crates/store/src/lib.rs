@@ -34,6 +34,5 @@ pub use catalog::Catalog;
 pub use chronicle::{Chronicle, Retention};
 pub use chunk::{Chunk, ChunkArena, ColumnSlice, ColumnVec};
 pub use group::ChronicleGroup;
-pub use index::HashIndex;
 pub use relation::Relation;
 pub use temporal::{RelationChange, TemporalRelation};

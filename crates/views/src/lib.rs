@@ -1,11 +1,12 @@
 //! Persistent views and their incremental maintenance — component V of the
 //! chronicle database quadruple (C, R, L, V).
 //!
-//! * [`PersistentView`] — a materialized SCA view: group accumulators (or
-//!   multiplicity counts for projection views) behind an ordered index,
-//!   applied in `O(t log |V|)` per batch (Theorem 4.4),
-//! * [`RelationView`] — a materialized view over a *relation*, maintained
-//!   under inserts, updates and deletes via signed Z-set deltas,
+//! * [`PersistentView`] — one materialized view state for every
+//!   [`ViewDef`]: group accumulators (or multiplicity counts for
+//!   projection views) behind an ordered index, applied in `O(t log |V|)`
+//!   per batch (Theorem 4.4). A chronicle view (SCA) is maintained
+//!   append-only; a relation view (RQ) under inserts, updates and deletes
+//!   via signed Z-set deltas,
 //! * [`Maintainer`] — the engine that, on every append (and every relation
 //!   change), routes the delta to the affected views and drives
 //!   propagation + application,
@@ -31,7 +32,6 @@ pub mod events;
 mod maintenance;
 mod periodic;
 mod persistent;
-mod relview;
 mod router;
 mod sliding;
 mod tiered;
@@ -42,8 +42,7 @@ pub use maintenance::{
     AppendEvent, BatchMode, Maintainer, MaintenanceReport, RouteMode, ViewReport,
 };
 pub use periodic::{IntervalViewState, PeriodicViewSet};
-pub use persistent::PersistentView;
-pub use relview::RelationView;
+pub use persistent::{PersistentView, ViewDef};
 pub use router::{Router, RoutingDecision};
 pub use sliding::SlidingWindow;
 pub use tiered::{BatchDiscount, Tier, TierSchedule};

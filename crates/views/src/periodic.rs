@@ -118,7 +118,7 @@ impl PeriodicViewSet {
                     self.template.clone(),
                 ),
             });
-            let delta = engine.delta_sca(entry.view.expr(), &batch, work)?;
+            let delta = engine.delta_sca(&self.template, &batch, work)?;
             if !delta.is_empty() {
                 entry.view.apply(&delta, work)?;
             }

@@ -1,11 +1,31 @@
-//! Materialized persistent views.
+//! Materialized persistent views — the V of the chronicle database
+//! (C, R, L, V).
 //!
 //! A persistent view stores *only itself* (Theorem 4.4's space bound): for a
 //! group-aggregation view, an ordered map from group key to decomposed
 //! accumulator states; for a projection view, an ordered map from row to
-//! multiplicity (so set semantics survive insert-only maintenance). The
+//! signed multiplicity (so set semantics survive maintenance). The
 //! underlying chronicle and the chronicle-algebra intermediates are never
 //! stored.
+//!
+//! One state serves both kinds of definition ([`ViewDef`]). A chronicle
+//! view (SCA) is maintained append-only — the Theorem 4.1 rules lean on
+//! the new-sequence-number argument. A relation view ([`RelQuery`],
+//! σ/Π/γ with retractable aggregates) absorbs **signed** Z-set deltas: an
+//! insert arrives as `+1`, a delete as `−1`, an update as a `−old +new`
+//! pair. The definition decides the three things that differ:
+//!
+//! * a relation view's groups carry a live-row count (and snapshot it),
+//!   and a group whose count reaches zero is removed — a chronicle group
+//!   can never retract, so it neither persists nor consults the count;
+//! * in both, a projected row whose multiplicity reaches zero is removed;
+//! * the snapshot magic: `CHRV1` for chronicle views, `CHRR1` for
+//!   relation views.
+//!
+//! Under the `CHRONICLE_MUTATE=skip_consolidation` sabotage zero-count
+//! entries stay *visible* through [`PersistentView::rows`], which is how
+//! the differential oracle suite proves it would catch a dropped
+//! zero-weight elimination.
 //!
 //! The ordered map (B-tree) realizes the paper's `O(t · log|V|)` apply
 //! bound: one ordered-index probe per affected group/row.
@@ -15,46 +35,144 @@ use std::collections::BTreeMap;
 use crate::codec::{ReaderExt as _, WriterExt as _};
 use chronicle_algebra::delta::SummaryDelta;
 use chronicle_algebra::eval::seq_to_int;
-use chronicle_algebra::{Accumulator, ScaExpr, Summarize, WorkCounter};
+use chronicle_algebra::{Accumulator, AggSpec, RelQuery, ScaExpr, Summarize, WorkCounter};
 use chronicle_store::Catalog;
 use chronicle_types::{mutate, ChronicleError, Result, Schema, Tuple, Value, ViewId};
 
-/// The materialized state of one SCA persistent view.
+/// What a persistent view is defined over.
+#[derive(Debug, Clone)]
+pub enum ViewDef {
+    /// An SCA expression over chronicles, maintained append-only.
+    Chronicle(ScaExpr),
+    /// A σ/Π/γ query over one relation, maintained under inserts,
+    /// updates and deletes.
+    Relation(RelQuery),
+}
+
+impl From<ScaExpr> for ViewDef {
+    fn from(expr: ScaExpr) -> Self {
+        ViewDef::Chronicle(expr)
+    }
+}
+
+impl From<RelQuery> for ViewDef {
+    fn from(query: RelQuery) -> Self {
+        ViewDef::Relation(query)
+    }
+}
+
+impl ViewDef {
+    /// The summarization step.
+    pub fn summarize(&self) -> &Summarize {
+        match self {
+            ViewDef::Chronicle(expr) => expr.summarize(),
+            ViewDef::Relation(query) => query.summarize(),
+        }
+    }
+
+    /// The view's (relation) schema.
+    pub fn schema(&self) -> &Schema {
+        match self {
+            ViewDef::Chronicle(expr) => expr.schema(),
+            ViewDef::Relation(query) => query.schema(),
+        }
+    }
+
+    /// Relation views absorb retractions: their groups carry a persisted
+    /// live-row count and drop out when it reaches zero.
+    fn retracts(&self) -> bool {
+        matches!(self, ViewDef::Relation(_))
+    }
+
+    /// Snapshot magic of this kind of view.
+    fn magic(&self) -> &'static str {
+        match self {
+            ViewDef::Chronicle(_) => "CHRV1",
+            ViewDef::Relation(_) => "CHRR1",
+        }
+    }
+}
+
+/// The materialized state of one persistent view.
 #[derive(Debug)]
 pub struct PersistentView {
     id: ViewId,
     name: String,
-    expr: ScaExpr,
+    def: ViewDef,
     state: ViewState,
     /// Batches applied (diagnostics).
     applied_batches: u64,
 }
 
+/// One group's accumulators plus the signed count of live (filtered) base
+/// rows in it. Only relation views persist and consult the count: their
+/// group exists exactly while `live > 0`.
+#[derive(Debug)]
+struct GroupState {
+    accs: Vec<Accumulator>,
+    live: i64,
+}
+
+impl GroupState {
+    fn new(aggs: &[AggSpec]) -> Self {
+        GroupState {
+            accs: aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
+            live: 0,
+        }
+    }
+
+    fn row(&self, key: &[Value]) -> Tuple {
+        let mut row = key.to_vec();
+        row.extend(self.accs.iter().map(|a| seq_to_int(a.finalize())));
+        Tuple::new(row)
+    }
+}
+
 #[derive(Debug)]
 enum ViewState {
     /// GROUPBY summarization: group key → accumulators.
-    Groups(BTreeMap<Vec<Value>, Vec<Accumulator>>),
-    /// Projection summarization: row → signed multiplicity. Chronicle
-    /// appends only add, but the state is Z-set-shaped so the same apply
-    /// path absorbs signed deltas; a row whose multiplicity reaches zero is
-    /// removed (unless the `skip_consolidation` mutation is active — the
-    /// lingering zero-count row is then *visible* through [`PersistentView::rows`],
-    /// which is what lets the differential suite catch the mutation).
+    Groups(BTreeMap<Vec<Value>, GroupState>),
+    /// Projection summarization: row → signed multiplicity.
     Counts(BTreeMap<Tuple, i64>),
 }
 
-impl PersistentView {
-    /// Create an empty view for `expr`.
-    pub fn new(id: ViewId, name: impl Into<String>, expr: ScaExpr) -> Self {
-        let state = match expr.summarize() {
+impl ViewState {
+    fn empty(summarize: &Summarize) -> Self {
+        match summarize {
             Summarize::GroupAgg { .. } => ViewState::Groups(BTreeMap::new()),
             Summarize::Project { .. } => ViewState::Counts(BTreeMap::new()),
-        };
+        }
+    }
+
+    /// Fold one base row in with weight `+1` (bootstrap).
+    fn insert(&mut self, summarize: &Summarize, t: &Tuple) -> Result<()> {
+        match (self, summarize) {
+            (ViewState::Groups(groups), Summarize::GroupAgg { group_cols, aggs }) => {
+                let key: Vec<Value> = group_cols.iter().map(|&c| t.get(c).clone()).collect();
+                let gs = groups.entry(key).or_insert_with(|| GroupState::new(aggs));
+                gs.live += 1;
+                for acc in gs.accs.iter_mut() {
+                    acc.update(t)?;
+                }
+            }
+            (ViewState::Counts(counts), Summarize::Project { cols }) => {
+                *counts.entry(t.project(cols)).or_insert(0) += 1;
+            }
+            _ => unreachable!("state always matches summarize"),
+        }
+        Ok(())
+    }
+}
+
+impl PersistentView {
+    /// Create an empty view for `def`.
+    pub fn new(id: ViewId, name: impl Into<String>, def: impl Into<ViewDef>) -> Self {
+        let def = def.into();
         PersistentView {
             id,
             name: name.into(),
-            expr,
-            state,
+            state: ViewState::empty(def.summarize()),
+            def,
             applied_batches: 0,
         }
     }
@@ -69,14 +187,30 @@ impl PersistentView {
         &self.name
     }
 
-    /// The defining SCA expression.
-    pub fn expr(&self) -> &ScaExpr {
-        &self.expr
+    /// The view's definition.
+    pub fn def(&self) -> &ViewDef {
+        &self.def
+    }
+
+    /// The defining SCA expression of a chronicle view.
+    pub fn expr(&self) -> Option<&ScaExpr> {
+        match &self.def {
+            ViewDef::Chronicle(expr) => Some(expr),
+            ViewDef::Relation(_) => None,
+        }
+    }
+
+    /// The defining query of a relation view.
+    pub fn query(&self) -> Option<&RelQuery> {
+        match &self.def {
+            ViewDef::Relation(query) => Some(query),
+            ViewDef::Chronicle(_) => None,
+        }
     }
 
     /// The view's (relation) schema.
     pub fn schema(&self) -> &Schema {
-        self.expr.schema()
+        self.def.schema()
     }
 
     /// Number of rows (groups / distinct projected rows) currently
@@ -101,9 +235,11 @@ impl PersistentView {
     /// Apply a summarized delta — the Theorem 4.4 step. `O(t)` ordered-map
     /// probes, `t` = affected groups/rows; each probe is `O(log |V|)`.
     /// Work is charged per logical tuple (by |weight|), so batch-internal
-    /// consolidation never perturbs the counters.
+    /// consolidation never perturbs the counters. A count driven below
+    /// zero is an error.
     pub fn apply(&mut self, delta: &SummaryDelta, work: &mut WorkCounter) -> Result<()> {
-        match (&mut self.state, delta, self.expr.summarize()) {
+        let retracts = self.def.retracts();
+        match (&mut self.state, delta, self.def.summarize()) {
             (
                 ViewState::Groups(groups),
                 SummaryDelta::Groups(batch),
@@ -111,13 +247,25 @@ impl PersistentView {
             ) => {
                 for (key, members) in batch {
                     work.index_probes += 1; // one O(log|V|) group lookup
-                    let accs = groups
+                    let gs = groups
                         .entry(key.clone())
-                        .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
+                        .or_insert_with(|| GroupState::new(aggs));
                     for (t, w) in members.iter() {
                         work.tuples_in += w.unsigned_abs();
-                        for acc in accs.iter_mut() {
+                        gs.live += w;
+                        for acc in gs.accs.iter_mut() {
                             acc.update_weighted(t, w)?;
+                        }
+                    }
+                    if retracts {
+                        if gs.live < 0 {
+                            return Err(ChronicleError::Internal(format!(
+                                "view `{}`: group {key:?} retracted below zero rows",
+                                self.name
+                            )));
+                        }
+                        if gs.live == 0 && !mutate("skip_consolidation") {
+                            groups.remove(key);
                         }
                     }
                 }
@@ -128,6 +276,12 @@ impl PersistentView {
                     work.tuples_in += w.unsigned_abs();
                     let m = counts.entry(row.clone()).or_insert(0);
                     *m += w;
+                    if *m < 0 {
+                        return Err(ChronicleError::Internal(format!(
+                            "view `{}`: row {row} retracted below zero",
+                            self.name
+                        )));
+                    }
                     if *m == 0 && !mutate("skip_consolidation") {
                         counts.remove(row);
                     }
@@ -146,16 +300,12 @@ impl PersistentView {
 
     /// Materialize the full current contents as relation rows (group keys +
     /// finalized aggregates, or distinct projected rows), in index order.
+    /// Presence in the map is what makes a row visible — a zero-count
+    /// residue kept by the `skip_consolidation` mutation shows up here, on
+    /// purpose.
     pub fn rows(&self) -> Vec<Tuple> {
         match &self.state {
-            ViewState::Groups(groups) => groups
-                .iter()
-                .map(|(key, accs)| {
-                    let mut row = key.clone();
-                    row.extend(accs.iter().map(|a| seq_to_int(a.finalize())));
-                    Tuple::new(row)
-                })
-                .collect(),
+            ViewState::Groups(groups) => groups.iter().map(|(key, gs)| gs.row(key)).collect(),
             ViewState::Counts(counts) => counts.keys().cloned().collect(),
         }
     }
@@ -164,11 +314,7 @@ impl PersistentView {
     /// query of §1). `O(log |V|)`.
     pub fn get(&self, key: &[Value]) -> Option<Tuple> {
         match &self.state {
-            ViewState::Groups(groups) => groups.get(key).map(|accs| {
-                let mut row = key.to_vec();
-                row.extend(accs.iter().map(|a| seq_to_int(a.finalize())));
-                Tuple::new(row)
-            }),
+            ViewState::Groups(groups) => groups.get(key).map(|gs| gs.row(key)),
             ViewState::Counts(counts) => {
                 let t = Tuple::new(key.to_vec());
                 counts.contains_key(&t).then_some(t)
@@ -182,39 +328,34 @@ impl PersistentView {
         match &self.state {
             ViewState::Groups(groups) => groups
                 .get(key)
-                .and_then(|accs| accs.get(agg_index))
+                .and_then(|gs| gs.accs.get(agg_index))
                 .map(|a| seq_to_int(a.finalize())),
             ViewState::Counts(_) => None,
         }
     }
 
-    /// Bootstrap the view from fully stored chronicles (used when a view is
-    /// defined *after* data already exists — "materialized when it is
-    /// initially defined", §2.1). Requires `Retention::All` on every base
-    /// chronicle; otherwise returns the underlying
-    /// [`ChronicleError::ChronicleNotStored`].
+    /// Rebuild the state from stored data (used when a view is defined
+    /// *after* data already exists — "materialized when it is initially
+    /// defined", §2.1). A relation view folds in the relation's current
+    /// rows, which is always possible. A chronicle view needs
+    /// `Retention::All` on every base chronicle; otherwise this returns
+    /// the underlying [`ChronicleError::ChronicleNotStored`].
     pub fn bootstrap(&mut self, catalog: &Catalog) -> Result<()> {
-        let chron_rows = chronicle_algebra::eval::eval_ca(catalog, self.expr.ca())?;
-        match (&mut self.state, self.expr.summarize()) {
-            (ViewState::Groups(groups), Summarize::GroupAgg { group_cols, aggs }) => {
-                groups.clear();
-                for t in &chron_rows {
-                    let key: Vec<Value> = group_cols.iter().map(|&c| t.get(c).clone()).collect();
-                    let accs = groups
-                        .entry(key)
-                        .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-                    for acc in accs.iter_mut() {
-                        acc.update(t)?;
+        let summarize = self.def.summarize();
+        self.state = ViewState::empty(summarize);
+        match &self.def {
+            ViewDef::Chronicle(expr) => {
+                for t in &chronicle_algebra::eval::eval_ca(catalog, expr.ca())? {
+                    self.state.insert(summarize, t)?;
+                }
+            }
+            ViewDef::Relation(query) => {
+                for t in catalog.relation(query.relation()).current().iter() {
+                    if query.matches(t)? {
+                        self.state.insert(summarize, t)?;
                     }
                 }
             }
-            (ViewState::Counts(counts), Summarize::Project { cols }) => {
-                counts.clear();
-                for t in &chron_rows {
-                    *counts.entry(t.project(cols)).or_insert(0) += 1;
-                }
-            }
-            _ => unreachable!("state always matches summarize"),
         }
         Ok(())
     }
@@ -228,25 +369,29 @@ impl PersistentView {
         }
     }
 
-    /// Serialize the materialized state (not the defining expression) into
-    /// a self-describing byte snapshot. Persistent views are the only
-    /// durable state of a chronicle system — the chronicle is not stored —
-    /// so snapshot + restore is what makes restarts possible.
+    /// Serialize the materialized state (not the definition) into a
+    /// self-describing byte snapshot. Persistent views are the only durable
+    /// state of a chronicle system — the chronicle is not stored — so
+    /// snapshot + restore is what makes restarts possible.
     pub fn snapshot(&self) -> Vec<u8> {
+        let retracts = self.def.retracts();
         let mut w = crate::codec::Writer::new();
-        w.str("CHRV1");
+        w.str(self.def.magic());
         w.u64(self.applied_batches);
         match &self.state {
             ViewState::Groups(groups) => {
                 w.u8(0);
                 w.u64(groups.len() as u64);
-                for (key, accs) in groups {
+                for (key, gs) in groups {
                     w.u32(key.len() as u32);
                     for v in key {
                         w.value(v);
                     }
-                    w.u32(accs.len() as u32);
-                    for acc in accs {
+                    if retracts {
+                        w.i64(gs.live);
+                    }
+                    w.u32(gs.accs.len() as u32);
+                    for acc in &gs.accs {
                         w.accumulator(acc);
                     }
                 }
@@ -264,25 +409,26 @@ impl PersistentView {
     }
 
     /// Restore a snapshot produced by [`PersistentView::snapshot`] into a
-    /// fresh view over the *same* defining expression. Fails on magic,
-    /// kind, or structural mismatch.
+    /// fresh view over the *same* definition. Fails on magic, kind, or
+    /// structural mismatch.
     pub fn restore(
         id: ViewId,
         name: impl Into<String>,
-        expr: ScaExpr,
+        def: impl Into<ViewDef>,
         bytes: &[u8],
     ) -> Result<PersistentView> {
-        let mut view = PersistentView::new(id, name, expr);
+        let mut view = PersistentView::new(id, name, def);
+        let retracts = view.def.retracts();
         let mut r = crate::codec::Reader::new(bytes);
         let magic = r.str()?;
-        if magic != "CHRV1" {
+        if magic != view.def.magic() {
             return Err(ChronicleError::Internal(format!(
                 "bad snapshot magic `{magic}`"
             )));
         }
         view.applied_batches = r.u64()?;
         let kind = r.u8()?;
-        match (&mut view.state, kind, view.expr.summarize()) {
+        match (&mut view.state, kind, view.def.summarize()) {
             (ViewState::Groups(groups), 0, Summarize::GroupAgg { aggs, .. }) => {
                 let n = r.u64()?;
                 for _ in 0..n {
@@ -291,6 +437,7 @@ impl PersistentView {
                     for _ in 0..klen {
                         key.push(r.value()?);
                     }
+                    let live = if retracts { r.i64()? } else { 0 };
                     let alen = r.u32()? as usize;
                     if alen != aggs.len() {
                         return Err(ChronicleError::Internal(format!(
@@ -310,7 +457,7 @@ impl PersistentView {
                         }
                         accs.push(acc);
                     }
-                    groups.insert(key, accs);
+                    groups.insert(key, GroupState { accs, live });
                 }
             }
             (ViewState::Counts(counts), 1, Summarize::Project { .. }) => {
@@ -339,9 +486,9 @@ impl PersistentView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronicle_algebra::{AggFunc, AggSpec, CaExpr, DeltaBatch};
+    use chronicle_algebra::{AggFunc, CaExpr, DeltaBatch, RelationRef, ZSet};
     use chronicle_store::{Catalog, Retention};
-    use chronicle_types::{tuple, AttrType, Attribute, ChronicleId, Chronon, SeqNo};
+    use chronicle_types::{tuple, AttrType, Attribute, ChronicleId, Chronon, RelationId, SeqNo};
 
     fn setup(retention: Retention) -> (Catalog, ChronicleId) {
         let mut cat = Catalog::new();
@@ -386,7 +533,9 @@ mod tests {
             tuples: rows,
         };
         let mut w = WorkCounter::default();
-        let d = engine.delta_sca(view.expr(), &batch, &mut w).unwrap();
+        let d = engine
+            .delta_sca(view.expr().unwrap(), &batch, &mut w)
+            .unwrap();
         view.apply(&d, &mut w).unwrap();
         w
     }
@@ -465,7 +614,7 @@ mod tests {
             .unwrap();
         apply_batch(&mut v, &cat, c, 3, vec![tuple![SeqNo(3), 555i64, 5.0f64]]);
         let oracle = chronicle_algebra::eval::canon(
-            chronicle_algebra::eval::eval_sca(&cat, v.expr()).unwrap(),
+            chronicle_algebra::eval::eval_sca(&cat, v.expr().unwrap()).unwrap(),
         );
         assert_eq!(chronicle_algebra::eval::canon(v.rows()), oracle);
     }
@@ -490,7 +639,8 @@ mod tests {
         apply_batch(&mut v, &cat, c, 2, vec![tuple![SeqNo(2), 777i64, 9.0f64]]);
         let bytes = v.snapshot();
         let restored =
-            PersistentView::restore(ViewId(9), "totals", v.expr().clone(), &bytes).unwrap();
+            PersistentView::restore(ViewId(9), "totals", v.expr().unwrap().clone(), &bytes)
+                .unwrap();
         assert_eq!(restored.rows(), v.rows());
         assert_eq!(restored.applied_batches(), v.applied_batches());
         // The restored view keeps maintaining correctly.
@@ -530,12 +680,15 @@ mod tests {
         // Corrupted magic.
         let mut bad = bytes.clone();
         bad[5] = b'X';
-        assert!(PersistentView::restore(ViewId(4), "x", group_view.expr().clone(), &bad).is_err());
+        assert!(
+            PersistentView::restore(ViewId(4), "x", group_view.expr().unwrap().clone(), &bad)
+                .is_err()
+        );
         // Truncated.
         assert!(PersistentView::restore(
             ViewId(5),
             "x",
-            group_view.expr().clone(),
+            group_view.expr().unwrap().clone(),
             &bytes[..bytes.len() - 2]
         )
         .is_err());
@@ -552,5 +705,158 @@ mod tests {
             ChronicleError::Internal(_)
         ));
         let _ = c;
+    }
+
+    fn rel_setup() -> (Catalog, RelationRef, RelationId) {
+        let mut cat = Catalog::new();
+        let g = cat.create_group("g").unwrap();
+        let rs = Schema::relation_with_key(
+            vec![
+                Attribute::new("acct", AttrType::Int),
+                Attribute::new("region", AttrType::Int),
+                Attribute::new("rate", AttrType::Float),
+            ],
+            &["acct"],
+        )
+        .unwrap();
+        let r = cat.create_relation("accounts", rs.clone()).unwrap();
+        cat.relation_insert(r, g, tuple![1i64, 10i64, 0.5f64])
+            .unwrap();
+        cat.relation_insert(r, g, tuple![2i64, 10i64, 1.5f64])
+            .unwrap();
+        (cat, RelationRef::new(r, rs, "accounts"), r)
+    }
+
+    fn rel_sum_view(rel: RelationRef) -> PersistentView {
+        let q = RelQuery::group_agg(
+            rel,
+            vec![],
+            &["region"],
+            vec![
+                AggSpec::new(AggFunc::Sum(2), "total"),
+                AggSpec::new(AggFunc::CountStar, "n"),
+            ],
+        )
+        .unwrap();
+        PersistentView::new(ViewId(0), "by_region", q)
+    }
+
+    fn rel_apply(view: &mut PersistentView, delta: ZSet) -> WorkCounter {
+        let mut w = WorkCounter::default();
+        let d = view.query().unwrap().delta(&delta, &mut w).unwrap();
+        view.apply(&d, &mut w).unwrap();
+        w
+    }
+
+    #[test]
+    fn insert_update_delete_round_trip() {
+        let (_, rel, _) = rel_setup();
+        let mut v = rel_sum_view(rel);
+        rel_apply(&mut v, ZSet::singleton(tuple![1i64, 10i64, 0.5f64], 1));
+        rel_apply(&mut v, ZSet::singleton(tuple![2i64, 10i64, 1.5f64], 1));
+        assert_eq!(v.get_agg(&[Value::Int(10)], 0), Some(Value::Float(2.0)));
+        // UPDATE acct 2: rate 1.5 → 2.5 as a −old +new pair.
+        let mut upd = ZSet::new();
+        upd.insert(tuple![2i64, 10i64, 1.5f64], -1);
+        upd.insert(tuple![2i64, 10i64, 2.5f64], 1);
+        rel_apply(&mut v, upd);
+        assert_eq!(v.get_agg(&[Value::Int(10)], 0), Some(Value::Float(3.0)));
+        assert_eq!(v.get_agg(&[Value::Int(10)], 1), Some(Value::Int(2)));
+        // DELETE both rows: the group itself disappears.
+        rel_apply(&mut v, ZSet::singleton(tuple![1i64, 10i64, 0.5f64], -1));
+        rel_apply(&mut v, ZSet::singleton(tuple![2i64, 10i64, 2.5f64], -1));
+        assert!(v.is_empty(), "fully retracted group leaves no residue");
+    }
+
+    #[test]
+    fn projection_counts_are_signed() {
+        let (_, rel, _) = rel_setup();
+        let q = RelQuery::project(rel, vec![], &["region"]).unwrap();
+        let mut v = PersistentView::new(ViewId(1), "regions", q);
+        rel_apply(&mut v, ZSet::singleton(tuple![1i64, 10i64, 0.5f64], 1));
+        rel_apply(&mut v, ZSet::singleton(tuple![2i64, 10i64, 1.5f64], 1));
+        assert_eq!(v.multiplicity(&tuple![10i64]), Some(2));
+        assert_eq!(v.rows(), vec![tuple![10i64]], "set semantics");
+        rel_apply(&mut v, ZSet::singleton(tuple![1i64, 10i64, 0.5f64], -1));
+        assert_eq!(v.multiplicity(&tuple![10i64]), Some(1));
+        rel_apply(&mut v, ZSet::singleton(tuple![2i64, 10i64, 1.5f64], -1));
+        assert!(v.rows().is_empty());
+    }
+
+    #[test]
+    fn over_retraction_is_loud() {
+        let (_, rel, _) = rel_setup();
+        let q = RelQuery::project(rel, vec![], &["acct"]).unwrap();
+        let mut v = PersistentView::new(ViewId(1), "accts", q);
+        let mut w = WorkCounter::default();
+        let d = v
+            .query()
+            .unwrap()
+            .delta(&ZSet::singleton(tuple![9i64, 10i64, 1.0f64], -1), &mut w)
+            .unwrap();
+        assert!(v.apply(&d, &mut w).is_err(), "deleting a missing row");
+    }
+
+    #[test]
+    fn bootstrap_matches_incremental() {
+        let (cat, rel, rid) = rel_setup();
+        let mut from_scratch = rel_sum_view(rel.clone());
+        from_scratch.bootstrap(&cat).unwrap();
+        let mut incremental = rel_sum_view(rel);
+        rel_apply(
+            &mut incremental,
+            ZSet::singleton(tuple![1i64, 10i64, 0.5f64], 1),
+        );
+        rel_apply(
+            &mut incremental,
+            ZSet::singleton(tuple![2i64, 10i64, 1.5f64], 1),
+        );
+        assert_eq!(from_scratch.rows(), incremental.rows());
+        // And both agree with the stateless oracle.
+        let oracle = from_scratch
+            .query()
+            .unwrap()
+            .eval(cat.relation(rid).current())
+            .unwrap();
+        assert_eq!(from_scratch.rows(), oracle);
+    }
+
+    #[test]
+    fn snapshot_round_trip_both_kinds() {
+        let (cat, rel, _) = rel_setup();
+        let mut v = rel_sum_view(rel.clone());
+        v.bootstrap(&cat).unwrap();
+        let restored = PersistentView::restore(
+            ViewId(7),
+            "by_region",
+            v.query().unwrap().clone(),
+            &v.snapshot(),
+        )
+        .unwrap();
+        assert_eq!(restored.rows(), v.rows());
+        // A restored view keeps retracting correctly.
+        let mut restored = restored;
+        rel_apply(
+            &mut restored,
+            ZSet::singleton(tuple![1i64, 10i64, 0.5f64], -1),
+        );
+        assert_eq!(restored.get_agg(&[Value::Int(10)], 1), Some(Value::Int(1)));
+
+        let q = RelQuery::project(rel, vec![], &["region"]).unwrap();
+        let mut p = PersistentView::new(ViewId(8), "regions", q);
+        p.bootstrap(&cat).unwrap();
+        let back = PersistentView::restore(
+            ViewId(8),
+            "regions",
+            p.query().unwrap().clone(),
+            &p.snapshot(),
+        )
+        .unwrap();
+        assert_eq!(back.multiplicity(&tuple![10i64]), Some(2));
+        // Cross-kind restore is rejected.
+        assert!(
+            PersistentView::restore(ViewId(9), "x", v.query().unwrap().clone(), &p.snapshot())
+                .is_err()
+        );
     }
 }

@@ -36,17 +36,17 @@ fn main() -> Result<(), ChronicleError> {
          JOIN customers ON caller = acct WHERE plan = 'gold' GROUP BY caller",
     )?;
 
-    let v = db.maintainer().view_by_name("total_minutes")?;
+    let v = db.maintainer().expr_of("total_minutes")?;
     println!(
         "view `total_minutes` is in {} => {}",
-        v.expr().language_name(),
-        v.expr().im_class()
+        v.language_name(),
+        v.im_class()
     );
-    let v = db.maintainer().view_by_name("gold_minutes")?;
+    let v = db.maintainer().expr_of("gold_minutes")?;
     println!(
         "view `gold_minutes`  is in {} => {}\n",
-        v.expr().language_name(),
-        v.expr().im_class()
+        v.language_name(),
+        v.im_class()
     );
 
     // Transactions stream in; every append maintains all affected views in

@@ -65,13 +65,20 @@ fn print_views(db: &ShardedDb) {
             String::new()
         };
         for v in shard.maintainer().iter_views() {
+            let (language, class, def) = match v.def() {
+                ViewDef::Chronicle(expr) => (
+                    expr.language_name(),
+                    expr.im_class().to_string(),
+                    expr.to_string(),
+                ),
+                ViewDef::Relation(query) => ("RQ", String::new(), query.to_string()),
+            };
             println!(
-                "{origin}{:<24} {:<10} {:<12} rows={:<8} {}",
+                "{origin}{:<24} {:<10} {:<12} rows={:<8} {def}",
                 v.name(),
-                v.expr().language_name(),
-                v.expr().im_class().to_string(),
+                language,
+                class,
                 v.len(),
-                v.expr()
             );
         }
     }

@@ -85,5 +85,5 @@ pub mod prelude {
         AttrType, Attribute, ChronicleError, ChronicleId, Chronon, GroupId, RelationId, Schema,
         SeqNo, Tuple, TupleBuilder, Value, ViewId,
     };
-    pub use chronicle_views::{Calendar, Interval, PersistentView, TierSchedule};
+    pub use chronicle_views::{Calendar, Interval, PersistentView, TierSchedule, ViewDef};
 }

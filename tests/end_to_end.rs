@@ -47,7 +47,7 @@ fn cellular_scenario_full_stack() {
     // exact temporal-join semantics over the stored chronicle).
     for view in ["per_caller", "gold_usage", "long_calls"] {
         let incremental = canon(db.query_view(view).unwrap());
-        let expr = db.maintainer().view_by_name(view).unwrap().expr();
+        let expr = db.maintainer().expr_of(view).unwrap();
         let oracle = canon(eval_sca(db.catalog(), expr).unwrap());
         assert_eq!(incremental, oracle, "view `{view}` diverged from oracle");
     }
@@ -84,9 +84,8 @@ fn view_classification_surfaces_through_sql() {
 
     let class = |name: &str| {
         db.maintainer()
-            .view_by_name(name)
+            .expr_of(name)
             .unwrap()
-            .expr()
             .im_class()
             .paper_name()
     };
@@ -108,7 +107,7 @@ fn projection_views_maintain_set_semantics() {
     }
     let rows = db.query_view("distinct_k").unwrap();
     assert_eq!(rows.len(), 7);
-    let expr = db.maintainer().view_by_name("distinct_k").unwrap().expr();
+    let expr = db.maintainer().expr_of("distinct_k").unwrap();
     assert_eq!(canon(rows), canon(eval_sca(db.catalog(), expr).unwrap()));
 }
 
@@ -157,7 +156,7 @@ fn multi_chronicle_group_union_view() {
         .unwrap();
     assert_eq!(row.get(1), &Value::Float(2.5));
     // Group-level monotonicity: the union view's oracle agrees.
-    let expr = db.maintainer().view_by_name("all_units").unwrap().expr();
+    let expr = db.maintainer().expr_of("all_units").unwrap();
     assert_eq!(
         canon(db.query_view("all_units").unwrap()),
         canon(eval_sca(db.catalog(), expr).unwrap())
@@ -184,7 +183,7 @@ fn unstored_chronicle_supports_views_but_not_scans() {
     );
     // The oracle CANNOT run: the chronicle was never stored. That is the
     // model's whole point.
-    let expr = db.maintainer().view_by_name("s").unwrap().expr();
+    let expr = db.maintainer().expr_of("s").unwrap();
     assert!(matches!(
         eval_sca(db.catalog(), expr).unwrap_err(),
         ChronicleError::ChronicleNotStored { .. }

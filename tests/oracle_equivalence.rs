@@ -18,7 +18,7 @@ use chronicle::algebra::{
 };
 use chronicle::db::{ChronicleDb, ShardedDb};
 use chronicle::prelude::*;
-use chronicle::views::{BatchMode, RelationView, SlidingWindow};
+use chronicle::views::{BatchMode, SlidingWindow};
 
 /// A compact description of a generated view, turned into a real `ScaExpr`
 /// against the live catalog.
@@ -255,7 +255,7 @@ prop_test! {
             if i == check_at {
                 let inc = canon(db.query_view("v").unwrap());
                 let oracle = canon(
-                    eval_sca(db.catalog(), db.maintainer().view_by_name("v").unwrap().expr())
+                    eval_sca(db.catalog(), db.maintainer().expr_of("v").unwrap())
                         .unwrap(),
                 );
                 prop_assert_eq!(inc, oracle, "divergence mid-history at op {}", i);
@@ -263,7 +263,7 @@ prop_test! {
         }
         let inc = canon(db.query_view("v").unwrap());
         let oracle = canon(
-            eval_sca(db.catalog(), db.maintainer().view_by_name("v").unwrap().expr()).unwrap(),
+            eval_sca(db.catalog(), db.maintainer().expr_of("v").unwrap()).unwrap(),
         );
         prop_assert_eq!(inc, oracle, "divergence at end of history");
     }
@@ -440,23 +440,19 @@ macro_rules! assert_views_match_oracle {
         let db = &$db;
         let rid = db.catalog().relation_id("accts").unwrap();
         for name in ["by_region", "regions", "rich"] {
-            let v = db.maintainer().rel_view_by_name(name).unwrap();
+            let v = db.maintainer().view_by_name(name).unwrap();
             let inc = canon(v.rows());
             let oracle = canon(
                 v.query()
+                    .unwrap()
                     .eval(db.catalog().relation(rid).current())
                     .unwrap(),
             );
             prop_assert_eq!(inc, oracle, "relation view `{}` diverged", name);
         }
         let inc = canon(db.query_view("volume").unwrap());
-        let oracle = canon(
-            eval_sca(
-                db.catalog(),
-                db.maintainer().view_by_name("volume").unwrap().expr(),
-            )
-            .unwrap(),
-        );
+        let oracle =
+            canon(eval_sca(db.catalog(), db.maintainer().expr_of("volume").unwrap()).unwrap());
         prop_assert_eq!(inc, oracle, "chronicle view `volume` diverged");
     }};
 }
@@ -777,7 +773,7 @@ fn plus_minus_pair_leaves_no_residue() {
     db.execute("DELETE FROM accts WHERE acct = 1").unwrap();
 
     for name in ["by_region", "regions", "rich"] {
-        let v = db.maintainer().rel_view_by_name(name).unwrap();
+        let v = db.maintainer().view_by_name(name).unwrap();
         assert!(
             v.rows().is_empty(),
             "view `{name}` kept residue after +1/−1: {:?}",
@@ -787,7 +783,7 @@ fn plus_minus_pair_leaves_no_residue() {
     }
     assert_eq!(
         db.maintainer()
-            .rel_view_by_name("regions")
+            .view_by_name("regions")
             .unwrap()
             .multiplicity(&Tuple::new(vec![Value::Int(2)])),
         None,
@@ -796,9 +792,9 @@ fn plus_minus_pair_leaves_no_residue() {
     // The snapshot bytes carry no residue entries either: restoring the
     // checkpoint payload of each view yields an empty state.
     for name in ["by_region", "regions", "rich"] {
-        let v = db.maintainer().rel_view_by_name(name).unwrap();
+        let v = db.maintainer().view_by_name(name).unwrap();
         let restored =
-            RelationView::restore(v.id(), name, v.query().clone(), &v.snapshot()).unwrap();
+            PersistentView::restore(v.id(), name, v.def().clone(), &v.snapshot()).unwrap();
         assert!(
             restored.is_empty(),
             "snapshot of `{name}` restored to a non-empty state after +1/−1"
@@ -829,7 +825,7 @@ fn plus_minus_pair_leaves_no_residue_in_checkpoints() {
             db.query_view(name).unwrap().is_empty(),
             "recovered view `{name}` kept +1/−1 residue through a checkpoint"
         );
-        assert!(db.maintainer().rel_view_by_name(name).unwrap().is_empty());
+        assert!(db.maintainer().view_by_name(name).unwrap().is_empty());
     }
 }
 
