@@ -20,7 +20,7 @@ use chronicle_store::{Catalog, Retention};
 use chronicle_testkit::{SeedableRng, SmallRng, TempDir, Zipf};
 use chronicle_types::{AttrType, Attribute, ChronicleId, Chronon, Schema, SeqNo, Tuple, Value};
 use chronicle_views::{
-    AppendEvent, BatchDiscount, Calendar, Maintainer, PeriodicViewSet, RouteMode, SlidingWindow,
+    AppendEvent, BatchDiscount, Calendar, Maintainer, PeriodicDef, RouteMode, SlidingWindow,
     TierSchedule,
 };
 use chronicle_workload::{AtmGen, CallGen, TradeGen};
@@ -649,8 +649,8 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
             (win.updates() + win.retractions()) as f64 / appends as f64,
         );
 
-        // (b) periodic family over a sliding calendar (each append fans out
-        // to w windows).
+        // (b) periodic family over a sliding calendar, maintained like any
+        // view: one delta per append, applied under each of the w windows.
         let mut cat = Catalog::new();
         let g = cat.create_group("g").expect("fresh");
         let ts = Schema::chronicle(
@@ -672,7 +672,10 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
         )
         .expect("in language");
         let cal = Calendar::sliding(Chronon(0), w as i64, 1).expect("valid");
-        let mut set = PeriodicViewSet::new("win", expr, cal, Some(0));
+        let mut maintainer = Maintainer::new();
+        maintainer
+            .register("win", PeriodicDef::new(expr, cal, Some(0)).expect("valid"))
+            .expect("fresh");
         let mut gen = TradeGen::new(7);
         let per_appends = appends.min(1_000);
         let mut wk = WorkCounter::default();
@@ -688,7 +691,8 @@ pub fn e8_sliding_window(scale: u32) -> Figure {
                     row[1].clone(),
                 ])],
             };
-            set.on_append(&cat, &ev, &mut wk).expect("maintain");
+            let report = maintainer.on_append(&cat, &ev).expect("maintain");
+            wk.absorb(report.total_work);
         }
         periodic.push(w as f64, wk.total() as f64 / per_appends as f64);
 

@@ -19,7 +19,7 @@ use chronicle_types::{
     Tuple, Value, ViewId,
 };
 use chronicle_views::{
-    AppendEvent, BatchMode, Calendar, Maintainer, MaintenanceReport, PeriodicViewSet, RouteMode,
+    AppendEvent, BatchMode, Calendar, Maintainer, MaintenanceReport, PeriodicDef, RouteMode,
     ViewDef,
 };
 
@@ -70,8 +70,6 @@ pub struct ChronicleDb {
     catalog: Catalog,
     maintainer: Maintainer,
     default_group: Option<GroupId>,
-    /// Periodic family name → index in the maintainer.
-    periodic_names: HashMap<String, usize>,
     /// Auto-advancing chronon used when an append carries no `AT` clause.
     tick: i64,
     stats: DbStats,
@@ -406,12 +404,6 @@ impl ChronicleDb {
                     .collect(),
             })
             .collect();
-        let mut periodic: Vec<(String, Vec<u8>)> = self
-            .periodic_names
-            .iter()
-            .map(|(name, &idx)| (name.clone(), self.maintainer.periodic(idx).snapshot()))
-            .collect();
-        periodic.sort();
         CheckpointImage {
             lsn,
             tick: self.tick,
@@ -420,7 +412,6 @@ impl ChronicleDb {
             chronicles,
             relations,
             views: self.maintainer.snapshot_views(),
-            periodic,
             term: self.term,
             sessions: self.sessions.encode(),
         }
@@ -512,15 +503,6 @@ impl ChronicleDb {
             self.maintainer
                 .restore_view(name, bytes)
                 .map_err(|e| corrupt(format!("restoring view `{name}`: {e}")))?;
-        }
-        for (name, bytes) in &img.periodic {
-            let idx = *self.periodic_names.get(name).ok_or_else(|| {
-                corrupt(format!("checkpoint names unknown periodic view `{name}`"))
-            })?;
-            self.maintainer
-                .periodic_mut(idx)
-                .restore_state(bytes)
-                .map_err(|e| corrupt(format!("restoring periodic view `{name}`: {e}")))?;
         }
         Ok(())
     }
@@ -649,7 +631,7 @@ impl ChronicleDb {
 
     /// Classify every logged DDL statement as belonging to `group`'s slice
     /// or to the complement. Chronicles belong by their `IN GROUP` clause;
-    /// views and periodic views follow the chronicle they read (relations
+    /// views and periodic families follow the chronicle they read (relations
     /// replicate to every shard, so relation-backed views and joined
     /// relations stay on the complement side / remain visible everywhere);
     /// a `DROP VIEW` follows the side that created the view.
@@ -666,18 +648,12 @@ impl ChronicleDb {
                     }
                     slice
                 }
-                Statement::CreateView { name, query } => {
+                Statement::CreateView { name, query }
+                | Statement::CreatePeriodicView { name, query, .. } => {
                     let slice = split.chronicles.contains(&query.from);
                     view_side.insert(name.clone(), slice);
                     if slice {
                         split.views.insert(name);
-                    }
-                    slice
-                }
-                Statement::CreatePeriodicView { name, query, .. } => {
-                    let slice = split.chronicles.contains(&query.from);
-                    if slice {
-                        split.periodic.insert(name);
                     }
                     slice
                 }
@@ -700,7 +676,7 @@ impl ChronicleDb {
     }
 
     /// Export `group` as an encoded checkpoint-image slice — its DDL,
-    /// watermark, chronicle windows, and view/periodic snapshots, with the
+    /// watermark, chronicle windows, and view snapshots, with the
     /// placement epoch already bumped — ready for
     /// [`ChronicleDb::import_group`] on another shard. The source itself
     /// is not modified (eviction is a separate, later step).
@@ -732,11 +708,6 @@ impl ChronicleDb {
                 .views
                 .into_iter()
                 .filter(|(n, _)| split.views.contains(n))
-                .collect(),
-            periodic: full
-                .periodic
-                .into_iter()
-                .filter(|(n, _)| split.periodic.contains(n))
                 .collect(),
             // Group slices carry neither term nor sessions: both are
             // whole-shard state, not group state.
@@ -781,7 +752,7 @@ impl ChronicleDb {
         Ok(group)
     }
 
-    /// Remove `group` (chronicles, views, periodic views, watermark) from
+    /// Remove `group` (chronicles, views, watermark) from
     /// this shard, log the departure as a `GroupEvict` WAL record, and
     /// flush. Call only after the target's import is durable.
     pub(crate) fn evict_group(&mut self, group: &str) -> Result<()> {
@@ -821,11 +792,6 @@ impl ChronicleDb {
                 .into_iter()
                 .filter(|(n, _)| !split.views.contains(n))
                 .collect(),
-            periodic: full
-                .periodic
-                .into_iter()
-                .filter(|(n, _)| !split.periodic.contains(n))
-                .collect(),
             // The rebuild below swaps only catalog-shaped state back in;
             // the shard's term and session table survive the eviction
             // untouched, so the complement image carries defaults.
@@ -844,7 +810,6 @@ impl ChronicleDb {
         self.catalog = fresh.catalog;
         self.maintainer = fresh.maintainer;
         self.default_group = fresh.default_group;
-        self.periodic_names = fresh.periodic_names;
         self.tick = self.tick.max(fresh.tick);
         self.ddl_log = fresh.ddl_log;
         self.group_epochs = fresh.group_epochs;
@@ -976,13 +941,15 @@ impl ChronicleDb {
             });
         }
         // A relation is fully stored, so its view always bootstraps; a
-        // chronicle view only when history has flowed.
+        // chronicle view only when history has flowed; a periodic family
+        // starts empty.
         let bootstrap = match &def {
             ViewDef::Chronicle(expr) => expr
                 .ca()
                 .base_chronicles()
                 .iter()
                 .any(|&c| self.catalog.chronicle(c).total_appended() > 0),
+            ViewDef::Periodic(_) => false,
             ViewDef::Relation(_) => true,
         };
         let id = self.maintainer.register(name, def)?;
@@ -1000,47 +967,20 @@ impl ChronicleDb {
         Ok(id)
     }
 
-    /// Create a periodic view family. Like [`ChronicleDb::create_view`],
-    /// this programmatic form is rejected on a durable database — use SQL.
+    /// Create a periodic view family `V<D>`: one view, keyed by a leading
+    /// `interval` column, that holds `expr` for every interval of
+    /// `calendar`. It starts empty even over retained history. Like
+    /// [`ChronicleDb::create_view`], this programmatic form is rejected on
+    /// a durable database — use SQL.
     pub fn create_periodic_view(
         &mut self,
         name: &str,
         expr: ScaExpr,
         calendar: Calendar,
         expire_after: Option<i64>,
-    ) -> Result<usize> {
-        self.create_periodic_view_inner(name, expr, calendar, expire_after, None)
-    }
-
-    fn create_periodic_view_inner(
-        &mut self,
-        name: &str,
-        expr: ScaExpr,
-        calendar: Calendar,
-        expire_after: Option<i64>,
-        source: Option<&str>,
-    ) -> Result<usize> {
-        if self.durability.is_some() && source.is_none() {
-            return Err(ChronicleError::Durability {
-                detail: format!(
-                    "create_periodic_view(`{name}`) on a durable database: define views with \
-                     SQL (`execute`) so the definition can be logged for recovery"
-                ),
-            });
-        }
-        if self.periodic_names.contains_key(name) {
-            return Err(ChronicleError::AlreadyExists {
-                kind: "periodic view",
-                name: name.into(),
-            });
-        }
-        let set = PeriodicViewSet::new(name, expr, calendar, expire_after);
-        let idx = self.maintainer.register_periodic(set);
-        self.periodic_names.insert(name.into(), idx);
-        if let Some(sql) = source {
-            self.log_ddl(sql.to_string())?;
-        }
-        Ok(idx)
+    ) -> Result<ViewId> {
+        let def = PeriodicDef::new(expr, calendar, expire_after)?;
+        self.create_view_inner(name, ViewDef::Periodic(def), None)
     }
 
     /// Toggle §5.2 routing on or off (experiment E9).
@@ -1264,24 +1204,6 @@ impl ChronicleDb {
         Ok(out)
     }
 
-    /// A periodic family, by name.
-    pub fn periodic_view(&self, name: &str) -> Result<&PeriodicViewSet> {
-        let idx = self
-            .periodic_names
-            .get(name)
-            .ok_or_else(|| ChronicleError::NotFound {
-                kind: "periodic view",
-                name: name.into(),
-            })?;
-        Ok(self.maintainer.periodic(*idx))
-    }
-
-    /// Names of every periodic view family, in no particular order (shard
-    /// route rebuilding after recovery).
-    pub fn periodic_view_names(&self) -> impl Iterator<Item = &str> {
-        self.periodic_names.keys().map(String::as_str)
-    }
-
     /// The underlying catalog (read access for oracles and experiments).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -1491,7 +1413,8 @@ impl ChronicleDb {
             } => {
                 let expr = plan_view(&self.catalog, &query)?;
                 let cal = calendar_from_spec(&calendar)?;
-                self.create_periodic_view_inner(&name, expr, cal, calendar.expire_after, source)?;
+                let def = PeriodicDef::new(expr, cal, calendar.expire_after)?;
+                self.create_view_inner(&name, ViewDef::Periodic(def), source)?;
                 Ok(ExecOutcome::Created("periodic view", name))
             }
             Statement::Append(a) => {
@@ -1631,10 +1554,8 @@ struct DdlSplit {
     rest: Vec<String>,
     /// Chronicle names in the slice.
     chronicles: HashSet<String>,
-    /// Live view names in the slice.
+    /// Live view (and periodic family) names in the slice.
     views: HashSet<String>,
-    /// Periodic view family names in the slice.
-    periodic: HashSet<String>,
 }
 
 fn calendar_from_spec(spec: &CalendarSpec) -> Result<Calendar> {
@@ -1828,17 +1749,30 @@ mod tests {
              FROM calls GROUP BY caller OVER CALENDAR EVERY 30",
         )
         .unwrap();
+        // Width 5, step 10: chronons 5 and 35 fall in calendar gaps.
+        db.execute(
+            "CREATE PERIODIC VIEW sampled AS SELECT caller, COUNT(*) AS n \
+             FROM calls GROUP BY caller OVER CALENDAR EVERY 5 STEP 10",
+        )
+        .unwrap();
         db.execute("APPEND INTO calls AT 5 VALUES (555, 2.0)")
             .unwrap();
         db.execute("APPEND INTO calls AT 35 VALUES (555, 7.0)")
             .unwrap();
-        let set = db.periodic_view("monthly").unwrap();
+        assert_eq!(db.stats().skipped_by_interval, 2);
+        assert!(db.query_view("sampled").unwrap().is_empty());
         assert_eq!(
-            set.query(0, &[Value::Int(555)]).unwrap().get(1),
+            db.query_view_key("monthly", &[Value::Int(0), Value::Int(555)])
+                .unwrap()
+                .unwrap()
+                .get(2),
             &Value::Float(2.0)
         );
         assert_eq!(
-            set.query(1, &[Value::Int(555)]).unwrap().get(1),
+            db.query_view_key("monthly", &[Value::Int(1), Value::Int(555)])
+                .unwrap()
+                .unwrap()
+                .get(2),
             &Value::Float(7.0)
         );
     }

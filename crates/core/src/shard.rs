@@ -102,7 +102,6 @@ pub(crate) enum RouteEffect {
     },
     AddRelation(String),
     AddView(String, usize),
-    AddPeriodic(String, usize),
     DropView(String),
 }
 
@@ -114,7 +113,6 @@ pub struct ShardRoutes {
     groups: HashMap<String, usize>,
     chronicles: HashMap<String, usize>,
     views: HashMap<String, usize>,
-    periodic: HashMap<String, usize>,
     /// Relations exist on every shard; the set only answers existence.
     relations: HashSet<String>,
 }
@@ -126,7 +124,6 @@ impl ShardRoutes {
             groups: HashMap::new(),
             chronicles: HashMap::new(),
             views: HashMap::new(),
-            periodic: HashMap::new(),
             relations: HashSet::new(),
         }
     }
@@ -236,20 +233,13 @@ impl ShardRoutes {
                     Some(RouteEffect::AddRelation(name.clone())),
                 ))
             }
-            Statement::CreateView { name, query } => {
+            Statement::CreateView { name, query }
+            | Statement::CreatePeriodicView { name, query, .. } => {
                 self.check_new_view(name)?;
                 let target = self.view_target(&query.from)?;
                 Ok((
                     RouteTarget::One(target),
                     Some(RouteEffect::AddView(name.clone(), target)),
-                ))
-            }
-            Statement::CreatePeriodicView { name, query, .. } => {
-                self.check_new_view(name)?;
-                let target = self.view_target(&query.from)?;
-                Ok((
-                    RouteTarget::One(target),
-                    Some(RouteEffect::AddPeriodic(name.clone(), target)),
                 ))
             }
             Statement::Append(a) => {
@@ -290,9 +280,6 @@ impl ShardRoutes {
             RouteEffect::AddView(name, shard) => {
                 self.views.insert(name, shard);
             }
-            RouteEffect::AddPeriodic(name, shard) => {
-                self.periodic.insert(name, shard);
-            }
             RouteEffect::DropView(name) => {
                 self.views.remove(&name);
             }
@@ -316,7 +303,7 @@ impl ShardRoutes {
     }
 
     fn check_new_view(&self, name: &str) -> Result<()> {
-        if self.views.contains_key(name) || self.periodic.contains_key(name) {
+        if self.views.contains_key(name) {
             return Err(ChronicleError::AlreadyExists {
                 kind: "view",
                 name: name.into(),
@@ -577,9 +564,6 @@ impl ShardedDb {
             }
             for v in db.maintainer().iter_views() {
                 routes.views.insert(v.name().to_string(), i);
-            }
-            for p in db.periodic_view_names() {
-                routes.periodic.insert(p.to_string(), i);
             }
         }
         routes

@@ -410,7 +410,6 @@ mod tests {
                 selected: vec![],
             },
             views: vec![],
-            periodic_maintained: 0,
             vectorized_views: 0,
             total_work: WorkCounter::default(),
             elapsed_nanos: nanos,

@@ -97,10 +97,9 @@ pub struct CheckpointImage {
     pub chronicles: Vec<ChronicleImage>,
     /// Temporal relations.
     pub relations: Vec<RelationImage>,
-    /// Persistent view snapshots as `(name, bytes)`.
+    /// Persistent view snapshots as `(name, bytes)`, periodic families
+    /// included.
     pub views: Vec<(String, Vec<u8>)>,
-    /// Periodic view-family snapshots as `(name, bytes)`.
-    pub periodic: Vec<(String, Vec<u8>)>,
     /// Leadership term the node held when the image was written (0 until
     /// a node is ever promoted). Trailing optional field: images written
     /// before terms existed decode with 0.
@@ -167,13 +166,14 @@ impl CheckpointImage {
                 w.tuple(t);
             }
         }
-        for set in [&self.views, &self.periodic] {
-            w.u32(set.len() as u32);
-            for (name, bytes) in set {
-                w.str(name);
-                w.bytes(bytes);
-            }
+        w.u32(self.views.len() as u32);
+        for (name, bytes) in &self.views {
+            w.str(name);
+            w.bytes(bytes);
         }
+        // The legacy periodic-family section, always empty: families are
+        // views now, and the empty count keeps the layout.
+        w.u32(0);
         // Trailing optional fields (term, session table): omitted entirely
         // when at their defaults, so images without failover state stay
         // byte-identical to the pre-term format.
@@ -268,9 +268,14 @@ impl CheckpointImage {
             for _ in 0..r.u32()? {
                 views.push((r.str()?, r.bytes()?));
             }
-            let mut periodic = Vec::new();
-            for _ in 0..r.u32()? {
-                periodic.push((r.str()?, r.bytes()?));
+            let legacy = r.u32()?;
+            if legacy != 0 {
+                return Err(ChronicleError::Corruption {
+                    detail: format!(
+                        "image holds {legacy} periodic-family snapshot(s) in the legacy \
+                         `CHRP1` section of an older format, which this build does not read"
+                    ),
+                });
             }
             let (term, sessions) = if r.at_end() {
                 (0, Vec::new())
@@ -285,7 +290,6 @@ impl CheckpointImage {
                 chronicles,
                 relations,
                 views,
-                periodic,
                 term,
                 sessions,
             })
@@ -476,7 +480,6 @@ mod tests {
                 log: vec![(SeqNo(3), true, tuple![2i64, "b"])],
             }],
             views: vec![("v".into(), vec![1, 2, 3])],
-            periodic: vec![("p".into(), vec![9, 8])],
             term: 2,
             sessions: vec![4, 5, 6],
         }
@@ -488,6 +491,28 @@ mod tests {
         assert_eq!(CheckpointImage::decode(&img.encode()).unwrap(), img);
         let empty = CheckpointImage::default();
         assert_eq!(CheckpointImage::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn legacy_periodic_section_is_refused() {
+        // An image of the older format with one family in the periodic
+        // section: the empty section's `u32 0` (the last four body bytes
+        // of a default image) becomes a count of 1 and one entry.
+        let empty = CheckpointImage::default().encode();
+        let mut w = Writer::new();
+        w.u32(1);
+        w.str("p");
+        w.bytes(&[9, 8]);
+        let mut body = empty[..empty.len() - 8].to_vec();
+        body.extend_from_slice(&w.into_bytes());
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        match CheckpointImage::decode(&body) {
+            Err(ChronicleError::Corruption { detail }) => {
+                assert!(detail.contains("older format"), "{detail}")
+            }
+            other => panic!("legacy section must be refused, got {other:?}"),
+        }
     }
 
     #[test]

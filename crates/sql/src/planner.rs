@@ -707,7 +707,7 @@ mod tests {
         match parse(sql)? {
             Statement::CreateView { query, .. } => match plan_any_view(cat, &query)? {
                 ViewDef::Relation(q) => Ok(q),
-                ViewDef::Chronicle(_) => panic!("expected a relation view"),
+                ViewDef::Chronicle(_) | ViewDef::Periodic(_) => panic!("expected a relation view"),
             },
             other => panic!("expected CREATE VIEW, got {other:?}"),
         }

@@ -33,11 +33,6 @@ impl Interval {
         self.start <= t && t < self.end
     }
 
-    /// Whether this interval ends at or before `t` (fully in the past).
-    pub fn ended_by(&self, t: Chronon) -> bool {
-        self.end <= t
-    }
-
     /// Width in ticks.
     pub fn width(&self) -> i64 {
         self.end.0 - self.start.0
@@ -204,35 +199,6 @@ impl Calendar {
             }
         }
     }
-
-    /// Indices of intervals that have fully ended by chronon `t` and whose
-    /// index is at least `from` (periodic case) — used for retiring views.
-    pub fn ended_before(&self, t: Chronon, from: u64) -> Vec<u64> {
-        match self {
-            Calendar::Explicit(v) => v
-                .iter()
-                .enumerate()
-                .skip(from as usize)
-                .filter(|(_, iv)| iv.ended_by(t))
-                .map(|(i, _)| i as u64)
-                .collect(),
-            Calendar::Periodic { .. } => {
-                let mut out = Vec::new();
-                let mut i = from;
-                // An out-of-range index lies in the unreachable far future,
-                // so it also ends the retirement scan.
-                while let Ok(Some(iv)) = self.interval(i) {
-                    if iv.ended_by(t) {
-                        out.push(i);
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                out
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,8 +213,6 @@ mod tests {
         assert!(!iv.contains(Chronon(20)));
         assert!(!iv.contains(Chronon(9)));
         assert_eq!(iv.width(), 10);
-        assert!(iv.ended_by(Chronon(20)));
-        assert!(!iv.ended_by(Chronon(19)));
         assert!(Interval::new(Chronon(5), Chronon(5)).is_err());
     }
 
@@ -303,14 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn ended_before_retires_in_order() {
-        let cal = Calendar::every(Chronon(0), 10).unwrap();
-        assert_eq!(cal.ended_before(Chronon(25), 0), vec![0, 1]);
-        assert_eq!(cal.ended_before(Chronon(25), 2), Vec::<u64>::new());
-        assert_eq!(cal.ended_before(Chronon(9), 0), Vec::<u64>::new());
-    }
-
-    #[test]
     fn degenerate_single_interval() {
         let cal = Calendar::single(Interval::new(Chronon(0), Chronon(10)).unwrap());
         assert!(cal.is_finite());
@@ -344,8 +300,6 @@ mod tests {
             cal.interval(u64::MAX),
             Err(ChronicleError::CalendarOutOfRange { .. })
         ));
-        // Retirement scans stop cleanly at the representability horizon.
-        assert_eq!(cal.ended_before(Chronon(i64::MAX), 0), vec![0, 1]);
     }
 
     #[test]

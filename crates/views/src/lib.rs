@@ -5,19 +5,18 @@
 //!   [`ViewDef`]: group accumulators (or multiplicity counts for
 //!   projection views) behind an ordered index, applied in `O(t log |V|)`
 //!   per batch (Theorem 4.4). A chronicle view (SCA) is maintained
-//!   append-only; a relation view (RQ) under inserts, updates and deletes
-//!   via signed Z-set deltas,
+//!   append-only; a periodic family `V<D>` ([`PeriodicDef`]) is a chronicle
+//!   view keyed by calendar interval, with expiration-driven space reuse;
+//!   a relation view (RQ) under inserts, updates and deletes via signed
+//!   Z-set deltas,
 //! * [`Maintainer`] — the engine that, on every append (and every relation
 //!   change), routes the delta to the affected views and drives
 //!   propagation + application,
 //! * [`Router`] — affected-view identification (§5.2): chronicle→view maps,
 //!   guard-predicate pre-filters, and active-interval filters for periodic
-//!   views,
+//!   families,
 //! * [`Calendar`] / [`Interval`] — sets of (possibly infinite, possibly
 //!   overlapping) time intervals (§5.1),
-//! * [`PeriodicViewSet`] — the `V<D>` construct: one view per calendar
-//!   interval, activated/retired as the chronicle's clock passes, with
-//!   expiration-driven space reuse,
 //! * [`SlidingWindow`] — the cyclic-buffer optimization for overlapping
 //!   windows ("keep the total number of shares sold for each of the last
 //!   30 days separately"),
@@ -30,7 +29,6 @@ mod calendar;
 pub mod codec;
 pub mod events;
 mod maintenance;
-mod periodic;
 mod persistent;
 mod router;
 mod sliding;
@@ -41,8 +39,7 @@ pub use events::{CompiledPattern, EventMatcher, Pattern};
 pub use maintenance::{
     AppendEvent, BatchMode, Maintainer, MaintenanceReport, RouteMode, ViewReport,
 };
-pub use periodic::{IntervalViewState, PeriodicViewSet};
-pub use persistent::{PersistentView, ViewDef};
+pub use persistent::{PeriodicDef, PersistentView, ViewDef};
 pub use router::{Router, RoutingDecision};
 pub use sliding::SlidingWindow;
 pub use tiered::{BatchDiscount, Tier, TierSchedule};

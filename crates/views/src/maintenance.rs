@@ -17,7 +17,6 @@ use chronicle_types::{
     mutate, ChronicleId, Chronon, RelationId, Result, SeqNo, Tuple, Value, ViewId,
 };
 
-use crate::periodic::PeriodicViewSet;
 use crate::persistent::{PersistentView, ViewDef};
 use crate::router::{Router, RoutingDecision};
 
@@ -63,8 +62,6 @@ pub struct MaintenanceReport {
     pub routing: RoutingDecision,
     /// Per maintained view.
     pub views: Vec<ViewReport>,
-    /// Periodic sub-views maintained.
-    pub periodic_maintained: usize,
     /// Views maintained through the vectorized columnar kernels (the rest
     /// ran the per-tuple interpreter).
     pub vectorized_views: usize,
@@ -102,15 +99,15 @@ pub enum BatchMode {
     Scalar,
 }
 
-/// Registry and driver for persistent views (plain and periodic).
+/// Registry and driver for persistent views of every [`ViewDef`].
 #[derive(Debug, Default)]
 pub struct Maintainer {
     views: BTreeMap<ViewId, PersistentView>,
     names: BTreeMap<String, ViewId>,
     /// Relation → the views defined over it: relation-change routing.
-    /// Chronicle views route through `router` instead.
+    /// Chronicle views and periodic families route through `router`
+    /// instead.
     by_relation: BTreeMap<RelationId, Vec<ViewId>>,
-    periodic: Vec<PeriodicViewSet>,
     router: Router,
     route_mode: RouteMode,
     batch_mode: BatchMode,
@@ -140,8 +137,8 @@ impl Maintainer {
         self.batch_mode
     }
 
-    /// Register a persistent view over a chronicle expression or a
-    /// relation query. The view starts empty; call
+    /// Register a persistent view over a chronicle expression, a periodic
+    /// family or a relation query. The view starts empty; call
     /// [`Maintainer::bootstrap_view`] if its source already has stored
     /// rows to fold in.
     pub fn register(&mut self, name: &str, def: impl Into<ViewDef>) -> Result<ViewId> {
@@ -154,40 +151,20 @@ impl Maintainer {
         let id = ViewId(self.next_id);
         self.next_id += 1;
         let def = def.into();
-        match &def {
-            ViewDef::Chronicle(expr) => {
-                self.router.register(id, expr);
-                if let Some(plan) = kernels::plan(expr) {
-                    self.plans.insert(id, plan);
-                }
-            }
-            ViewDef::Relation(query) => {
-                self.by_relation
-                    .entry(query.relation())
-                    .or_default()
-                    .push(id);
+        if let ViewDef::Relation(query) = &def {
+            self.by_relation
+                .entry(query.relation())
+                .or_default()
+                .push(id);
+        } else if let Some(expr) = def.expr() {
+            self.router.register(id, expr, def.calendar());
+            if let Some(plan) = kernels::plan(expr) {
+                self.plans.insert(id, plan);
             }
         }
         self.views.insert(id, PersistentView::new(id, name, def));
         self.names.insert(name.into(), id);
         Ok(id)
-    }
-
-    /// Register a periodic view family `V<D>`.
-    pub fn register_periodic(&mut self, set: PeriodicViewSet) -> usize {
-        self.periodic.push(set);
-        self.periodic.len() - 1
-    }
-
-    /// Access a periodic set by the index returned from
-    /// [`Maintainer::register_periodic`].
-    pub fn periodic(&self, idx: usize) -> &PeriodicViewSet {
-        &self.periodic[idx]
-    }
-
-    /// Mutable periodic family access (restart/restore path).
-    pub fn periodic_mut(&mut self, idx: usize) -> &mut PeriodicViewSet {
-        &mut self.periodic[idx]
     }
 
     /// Materialize a view from stored data: fully retained chronicle
@@ -256,7 +233,7 @@ impl Maintainer {
         Ok(self.view_by_name(name)?.rows())
     }
 
-    /// Number of registered (non-periodic) views of either kind.
+    /// Number of registered views of every kind.
     pub fn view_count(&self) -> usize {
         self.views.len()
     }
@@ -266,8 +243,7 @@ impl Maintainer {
         self.by_relation.contains_key(&relation)
     }
 
-    /// Iterate over registered (non-periodic) views of either kind, in id
-    /// order.
+    /// Iterate over registered views of every kind, in id order.
     pub fn iter_views(&self) -> impl Iterator<Item = &PersistentView> {
         self.views.values()
     }
@@ -339,9 +315,7 @@ impl Maintainer {
                 _ => engine.delta_sca(expr, &batch, &mut work)?,
             };
             let affected = delta.affected();
-            if affected > 0 {
-                view.apply(&delta, &mut work)?;
-            }
+            view.maintain(event.chronon, &delta, &mut work)?;
             report.total_work.absorb(work);
             report.views.push(ViewReport {
                 view: vid,
@@ -351,12 +325,6 @@ impl Maintainer {
         }
         if let Some(chunk) = chunk {
             self.arena.recycle(chunk);
-        }
-
-        for set in &mut self.periodic {
-            let mut work = WorkCounter::default();
-            report.periodic_maintained += set.on_append(catalog, event, &mut work)?;
-            report.total_work.absorb(work);
         }
 
         report.elapsed_nanos = start.elapsed().as_nanos() as u64;
@@ -409,7 +377,8 @@ impl Maintainer {
 
 impl Maintainer {
     /// Snapshot every registered view's materialized state, keyed by name:
-    /// chronicle views first, then relation views, each in id order, so
+    /// chronicle views and periodic families first, then relation views,
+    /// each in id order, so
     /// checkpoint images written by earlier builds keep their bytes.
     /// Together with the catalog DDL this is a full restart image: the
     /// chronicles themselves carry no state that maintenance needs.
@@ -448,6 +417,7 @@ impl Maintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Calendar, PeriodicDef};
     use chronicle_algebra::{AggFunc, AggSpec, CaExpr, CmpOp, Predicate};
     use chronicle_store::{Catalog, Retention};
     use chronicle_types::{tuple, AttrType, Attribute, Schema};
@@ -649,6 +619,158 @@ mod tests {
         assert!(r.total_work.total() > 0);
         assert_eq!(m.view_count(), 5);
         assert_eq!(m.iter_views().count(), 5);
+    }
+
+    fn family(cat: &Catalog, c: ChronicleId, calendar: Calendar, expire: Option<i64>) -> ViewDef {
+        let base = CaExpr::chronicle(cat.chronicle(c));
+        let template = ScaExpr::group_agg(
+            base,
+            &["caller"],
+            vec![AggSpec::new(AggFunc::Sum(2), "total")],
+        )
+        .unwrap();
+        PeriodicDef::new(template, calendar, expire).unwrap().into()
+    }
+
+    #[test]
+    fn family_applies_one_delta_under_each_containing_interval() {
+        let (cat, c) = setup();
+        let mut m = Maintainer::new();
+        m.register(
+            "monthly",
+            family(&cat, c, Calendar::every(Chronon(0), 30).unwrap(), None),
+        )
+        .unwrap();
+        // Windows of 3 ticks stepping 1: chronon 5 lies in windows 3, 4, 5.
+        m.register(
+            "win",
+            family(&cat, c, Calendar::sliding(Chronon(0), 3, 1).unwrap(), None),
+        )
+        .unwrap();
+        for (seq, at, minutes) in [(1, 5, 10.0), (2, 25, 5.0), (3, 35, 2.0)] {
+            let r = m
+                .on_append(
+                    &cat,
+                    &event(c, seq, at, vec![tuple![SeqNo(seq), 7i64, minutes]]),
+                )
+                .unwrap();
+            assert_eq!(r.views.len(), 2);
+        }
+        assert_eq!(
+            m.rows_of("monthly").unwrap(),
+            vec![tuple![0i64, 7i64, 15.0f64], tuple![1i64, 7i64, 2.0f64]]
+        );
+        let windows: Vec<Value> = m
+            .rows_of("win")
+            .unwrap()
+            .iter()
+            .map(|r| r.get(0).clone())
+            .collect();
+        let want: Vec<Value> = [3, 4, 5, 23, 24, 25, 33, 34, 35]
+            .into_iter()
+            .map(Value::Int)
+            .collect();
+        assert_eq!(windows, want);
+
+        // The delta is computed once: over three windows the family costs
+        // the one-interval family's delta work plus two more applies.
+        let work = |cal: Calendar| {
+            let mut m = Maintainer::new();
+            m.register("f", family(&cat, c, cal, None)).unwrap();
+            let r = m
+                .on_append(&cat, &event(c, 1, 5, vec![tuple![SeqNo(1), 7i64, 1.0f64]]))
+                .unwrap();
+            r.total_work
+        };
+        let one = work(Calendar::every(Chronon(0), 30).unwrap());
+        let three = work(Calendar::sliding(Chronon(0), 3, 1).unwrap());
+        assert_eq!(three.index_probes, 3);
+        assert_eq!(three.tuples_out, one.tuples_out);
+        assert_eq!(three.tuples_in - one.tuples_in, 2);
+    }
+
+    #[test]
+    fn family_in_a_calendar_gap_is_skipped_before_delta_work() {
+        let (cat, c) = setup();
+        let mut m = Maintainer::new();
+        // Width 5, step 10: chronons 5..9 fall between intervals 0 and 1.
+        let gapped = Calendar::periodic(Chronon(0), 5, 10, None).unwrap();
+        m.register("sampled", family(&cat, c, gapped, None))
+            .unwrap();
+        let r = m
+            .on_append(&cat, &event(c, 1, 7, vec![tuple![SeqNo(1), 7i64, 1.0f64]]))
+            .unwrap();
+        assert_eq!(r.routing.candidates, 1);
+        assert_eq!(r.routing.skipped_interval, 1);
+        assert!(r.views.is_empty());
+        assert_eq!(r.total_work.total(), 0);
+        assert!(m.rows_of("sampled").unwrap().is_empty());
+        let r = m
+            .on_append(&cat, &event(c, 2, 12, vec![tuple![SeqNo(2), 7i64, 1.0f64]]))
+            .unwrap();
+        assert_eq!(r.routing.selected.len(), 1);
+        assert_eq!(
+            m.rows_of("sampled").unwrap(),
+            vec![tuple![1i64, 7i64, 1.0f64]]
+        );
+    }
+
+    #[test]
+    fn guarded_family_is_skipped_by_the_guard_filter() {
+        let (cat, c) = setup();
+        let base = CaExpr::chronicle(cat.chronicle(c));
+        let p = Predicate::attr_cmp_const(base.schema(), "minutes", CmpOp::Gt, Value::Float(60.0))
+            .unwrap();
+        let template = ScaExpr::group_agg(
+            base.select(p).unwrap(),
+            &["caller"],
+            vec![AggSpec::new(AggFunc::CountStar, "long_calls")],
+        )
+        .unwrap();
+        let mut m = Maintainer::new();
+        let cal = Calendar::every(Chronon(0), 30).unwrap();
+        m.register("long", PeriodicDef::new(template, cal, None).unwrap())
+            .unwrap();
+        let r = m
+            .on_append(&cat, &event(c, 1, 1, vec![tuple![SeqNo(1), 1i64, 2.0f64]]))
+            .unwrap();
+        assert_eq!(r.routing.skipped_guard, 1);
+        assert!(r.views.is_empty());
+        assert_eq!(r.total_work.total(), 0);
+        assert!(
+            m.rows_of("long").unwrap().is_empty(),
+            "no interval materialised"
+        );
+    }
+
+    #[test]
+    fn family_expires_whole_intervals_from_the_front() {
+        let (cat, c) = setup();
+        let mut m = Maintainer::new();
+        let cal = Calendar::every(Chronon(0), 10).unwrap();
+        m.register("m", family(&cat, c, cal, Some(20))).unwrap();
+        for i in 0..6u64 {
+            let rows = vec![
+                tuple![SeqNo(i + 1), 7i64, 1.0f64],
+                tuple![SeqNo(i + 1), 8i64, 1.0f64],
+            ];
+            m.on_append(&cat, &event(c, i + 1, (i * 10) as i64 + 1, rows))
+                .unwrap();
+        }
+        // At t = 51 the intervals ending at 10, 20 and 30 are 20 ticks
+        // past their end; 3 and 4 are closed but kept, 5 is current.
+        let intervals: Vec<Value> = m
+            .rows_of("m")
+            .unwrap()
+            .iter()
+            .map(|r| r.get(0).clone())
+            .collect();
+        let want: Vec<Value> = [3, 3, 4, 4, 5, 5].into_iter().map(Value::Int).collect();
+        assert_eq!(intervals, want);
+        assert_eq!(
+            m.query("m", &[Value::Int(4), Value::Int(8)]).unwrap(),
+            Some(tuple![4i64, 8i64, 1.0f64])
+        );
     }
 
     #[test]

@@ -8,19 +8,24 @@
 //! underlying chronicle and the chronicle-algebra intermediates are never
 //! stored.
 //!
-//! One state serves both kinds of definition ([`ViewDef`]). A chronicle
+//! One state serves every kind of definition ([`ViewDef`]). A chronicle
 //! view (SCA) is maintained append-only — the Theorem 4.1 rules lean on
-//! the new-sequence-number argument. A relation view ([`RelQuery`],
+//! the new-sequence-number argument. A periodic family `V<D>` (§5.1) is a
+//! chronicle view keyed by a leading `interval` column, the calendar index
+//! of the interval a row belongs to. A relation view ([`RelQuery`],
 //! σ/Π/γ with retractable aggregates) absorbs **signed** Z-set deltas: an
 //! insert arrives as `+1`, a delete as `−1`, an update as a `−old +new`
-//! pair. The definition decides the three things that differ:
+//! pair. The definition decides the things that differ:
 //!
 //! * a relation view's groups carry a live-row count (and snapshot it),
 //!   and a group whose count reaches zero is removed — a chronicle group
 //!   can never retract, so it neither persists nor consults the count;
-//! * in both, a projected row whose multiplicity reaches zero is removed;
-//! * the snapshot magic: `CHRV1` for chronicle views, `CHRR1` for
-//!   relation views.
+//! * in all, a projected row whose multiplicity reaches zero is removed;
+//! * a family applies each append's delta under every calendar interval
+//!   containing the append's chronon, and drops whole intervals from the
+//!   front of its key order once they are past their expiry;
+//! * the snapshot magic: `CHRV1` for chronicle views, `CHRF1` for periodic
+//!   families, `CHRR1` for relation views.
 //!
 //! Under the `CHRONICLE_MUTATE=skip_consolidation` sabotage zero-count
 //! entries stay *visible* through [`PersistentView::rows`], which is how
@@ -30,23 +35,94 @@
 //! The ordered map (B-tree) realizes the paper's `O(t · log|V|)` apply
 //! bound: one ordered-index probe per affected group/row.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
+use crate::calendar::Calendar;
 use crate::codec::{ReaderExt as _, WriterExt as _};
 use chronicle_algebra::delta::SummaryDelta;
 use chronicle_algebra::eval::seq_to_int;
 use chronicle_algebra::{Accumulator, AggSpec, RelQuery, ScaExpr, Summarize, WorkCounter};
 use chronicle_store::Catalog;
-use chronicle_types::{mutate, ChronicleError, Result, Schema, Tuple, Value, ViewId};
+use chronicle_types::{
+    mutate, AttrType, Attribute, ChronicleError, Chronon, Result, Schema, Tuple, Value, ViewId,
+};
 
 /// What a persistent view is defined over.
 #[derive(Debug, Clone)]
 pub enum ViewDef {
     /// An SCA expression over chronicles, maintained append-only.
     Chronicle(ScaExpr),
+    /// A periodic family `V<D>`: an SCA template over a calendar, keyed by
+    /// the calendar index of each interval.
+    Periodic(PeriodicDef),
     /// A σ/Π/γ query over one relation, maintained under inserts,
     /// updates and deletes.
     Relation(RelQuery),
+}
+
+/// The definition of a periodic family `V<D>` (§5.1): *"a set of views
+/// V₁, …, V_k, one for each interval in the calendar D"*, held as one
+/// view whose key leads with an `INT` column `interval`, the interval's
+/// calendar index.
+#[derive(Debug, Clone)]
+pub struct PeriodicDef {
+    template: ScaExpr,
+    calendar: Calendar,
+    expire_after: Option<i64>,
+    /// `interval` followed by the template's columns.
+    schema: Schema,
+}
+
+impl PeriodicDef {
+    /// The family of `template` over `calendar`. With `expire_after`
+    /// set, an interval is dropped by the first append to the family at
+    /// or past its end plus that many ticks; `None` keeps every interval.
+    /// Fails when the template already has an `interval` column, or when
+    /// the calendar can index past the `INT` range.
+    pub fn new(template: ScaExpr, calendar: Calendar, expire_after: Option<i64>) -> Result<Self> {
+        let mut attrs = vec![Attribute::new("interval", AttrType::Int)];
+        attrs.extend(template.schema().attrs().iter().cloned());
+        let schema = Schema::relation(attrs)?;
+        let last = match &calendar {
+            Calendar::Explicit(intervals) => intervals.len() as i128 - 1,
+            Calendar::Periodic {
+                anchor,
+                step,
+                count,
+                ..
+            } => {
+                let reach = (i64::MAX as i128 - anchor.0 as i128) / *step as i128;
+                count.map_or(reach, |n| reach.min(n as i128 - 1))
+            }
+        };
+        if last > i64::MAX as i128 {
+            return Err(ChronicleError::InvalidSchema(format!(
+                "calendar index {last} does not fit the INT `interval` column"
+            )));
+        }
+        Ok(PeriodicDef {
+            template,
+            calendar,
+            expire_after,
+            schema,
+        })
+    }
+
+    /// The per-interval view definition.
+    pub fn template(&self) -> &ScaExpr {
+        &self.template
+    }
+
+    /// The calendar `D`.
+    pub fn calendar(&self) -> &Calendar {
+        &self.calendar
+    }
+}
+
+impl From<PeriodicDef> for ViewDef {
+    fn from(def: PeriodicDef) -> Self {
+        ViewDef::Periodic(def)
+    }
 }
 
 impl From<ScaExpr> for ViewDef {
@@ -62,10 +138,11 @@ impl From<RelQuery> for ViewDef {
 }
 
 impl ViewDef {
-    /// The summarization step.
+    /// The summarization step (a family's template's).
     pub fn summarize(&self) -> &Summarize {
         match self {
             ViewDef::Chronicle(expr) => expr.summarize(),
+            ViewDef::Periodic(family) => family.template.summarize(),
             ViewDef::Relation(query) => query.summarize(),
         }
     }
@@ -74,7 +151,26 @@ impl ViewDef {
     pub fn schema(&self) -> &Schema {
         match self {
             ViewDef::Chronicle(expr) => expr.schema(),
+            ViewDef::Periodic(family) => &family.schema,
             ViewDef::Relation(query) => query.schema(),
+        }
+    }
+
+    /// The SCA expression whose delta maintains a chronicle view: its own,
+    /// or a family's template.
+    pub fn expr(&self) -> Option<&ScaExpr> {
+        match self {
+            ViewDef::Chronicle(expr) => Some(expr),
+            ViewDef::Periodic(family) => Some(&family.template),
+            ViewDef::Relation(_) => None,
+        }
+    }
+
+    /// A family's calendar.
+    pub(crate) fn calendar(&self) -> Option<&Calendar> {
+        match self {
+            ViewDef::Periodic(family) => Some(&family.calendar),
+            ViewDef::Chronicle(_) | ViewDef::Relation(_) => None,
         }
     }
 
@@ -88,6 +184,7 @@ impl ViewDef {
     fn magic(&self) -> &'static str {
         match self {
             ViewDef::Chronicle(_) => "CHRV1",
+            ViewDef::Periodic(_) => "CHRF1",
             ViewDef::Relation(_) => "CHRR1",
         }
     }
@@ -162,6 +259,35 @@ impl ViewState {
         }
         Ok(())
     }
+
+    /// The leading key value of the first entry: a family's oldest
+    /// materialized interval.
+    fn first_interval(&self) -> Option<i64> {
+        let first = match self {
+            ViewState::Groups(groups) => groups.keys().next()?.first()?,
+            ViewState::Counts(counts) => counts.keys().next()?.values().first()?,
+        };
+        first.as_int()
+    }
+
+    fn pop_first(&mut self) {
+        match self {
+            ViewState::Groups(groups) => {
+                groups.pop_first();
+            }
+            ViewState::Counts(counts) => {
+                counts.pop_first();
+            }
+        }
+    }
+}
+
+/// `prefix` followed by `rest`: a family row's key under one interval.
+fn prefixed(prefix: &Value, rest: &[Value]) -> Vec<Value> {
+    let mut key = Vec::with_capacity(rest.len() + 1);
+    key.push(prefix.clone());
+    key.extend_from_slice(rest);
+    key
 }
 
 impl PersistentView {
@@ -192,19 +318,17 @@ impl PersistentView {
         &self.def
     }
 
-    /// The defining SCA expression of a chronicle view.
+    /// The SCA expression that maintains a chronicle view (a family's
+    /// template); see [`ViewDef::expr`].
     pub fn expr(&self) -> Option<&ScaExpr> {
-        match &self.def {
-            ViewDef::Chronicle(expr) => Some(expr),
-            ViewDef::Relation(_) => None,
-        }
+        self.def.expr()
     }
 
     /// The defining query of a relation view.
     pub fn query(&self) -> Option<&RelQuery> {
         match &self.def {
             ViewDef::Relation(query) => Some(query),
-            ViewDef::Chronicle(_) => None,
+            ViewDef::Chronicle(_) | ViewDef::Periodic(_) => None,
         }
     }
 
@@ -238,6 +362,81 @@ impl PersistentView {
     /// consolidation never perturbs the counters. A count driven below
     /// zero is an error.
     pub fn apply(&mut self, delta: &SummaryDelta, work: &mut WorkCounter) -> Result<()> {
+        self.fold(delta, work, <[Value]>::to_vec, Tuple::clone)?;
+        self.applied_batches += 1;
+        Ok(())
+    }
+
+    /// Maintain the view for one append at chronon `t` whose summarized
+    /// delta is `delta`. A plain view applies a non-empty delta. A
+    /// periodic family applies it once under each calendar interval
+    /// containing `t` — the delta does not depend on the interval — and
+    /// then expires, from the front of its key order, every interval
+    /// whose end plus the grace period is at or before `t`. The clock is
+    /// the family's own: only appends routed to it advance expiry.
+    pub(crate) fn maintain(
+        &mut self,
+        t: Chronon,
+        delta: &SummaryDelta,
+        work: &mut WorkCounter,
+    ) -> Result<()> {
+        let ViewDef::Periodic(family) = &self.def else {
+            return if delta.is_empty() {
+                Ok(())
+            } else {
+                self.apply(delta, work)
+            };
+        };
+        if !delta.is_empty() {
+            for idx in family.calendar.intervals_containing(t) {
+                let at = Value::Int(idx as i64);
+                self.fold(
+                    delta,
+                    work,
+                    |key| prefixed(&at, key),
+                    |row| Tuple::new(prefixed(&at, row.values())),
+                )?;
+            }
+            self.applied_batches += 1;
+        }
+        self.expire(t)
+    }
+
+    /// Drop a family's oldest intervals while they are past expiry at `t`.
+    fn expire(&mut self, t: Chronon) -> Result<()> {
+        let PersistentView {
+            def: ViewDef::Periodic(family),
+            state,
+            ..
+        } = self
+        else {
+            return Ok(());
+        };
+        let Some(grace) = family.expire_after else {
+            return Ok(());
+        };
+        let mut expired = None;
+        while let Some(idx) = state.first_interval() {
+            if expired != Some(idx) {
+                match family.calendar.interval(idx as u64)? {
+                    Some(iv) if iv.end.0.saturating_add(grace) <= t.0 => expired = Some(idx),
+                    _ => break,
+                }
+            }
+            state.pop_first();
+        }
+        Ok(())
+    }
+
+    /// Fold `delta` into the state, keying each group by `key_of` its
+    /// delta key and each projected row by `row_of` itself.
+    fn fold(
+        &mut self,
+        delta: &SummaryDelta,
+        work: &mut WorkCounter,
+        key_of: impl Fn(&[Value]) -> Vec<Value>,
+        row_of: impl Fn(&Tuple) -> Tuple,
+    ) -> Result<()> {
         let retracts = self.def.retracts();
         match (&mut self.state, delta, self.def.summarize()) {
             (
@@ -247,9 +446,11 @@ impl PersistentView {
             ) => {
                 for (key, members) in batch {
                     work.index_probes += 1; // one O(log|V|) group lookup
-                    let gs = groups
-                        .entry(key.clone())
-                        .or_insert_with(|| GroupState::new(aggs));
+                    let mut slot = match groups.entry(key_of(key)) {
+                        Entry::Occupied(slot) => slot,
+                        Entry::Vacant(slot) => slot.insert_entry(GroupState::new(aggs)),
+                    };
+                    let gs = slot.get_mut();
                     for (t, w) in members.iter() {
                         work.tuples_in += w.unsigned_abs();
                         gs.live += w;
@@ -265,7 +466,7 @@ impl PersistentView {
                             )));
                         }
                         if gs.live == 0 && !mutate("skip_consolidation") {
-                            groups.remove(key);
+                            slot.remove();
                         }
                     }
                 }
@@ -274,7 +475,11 @@ impl PersistentView {
                 for (row, w) in rows.iter() {
                     work.index_probes += 1;
                     work.tuples_in += w.unsigned_abs();
-                    let m = counts.entry(row.clone()).or_insert(0);
+                    let mut slot = match counts.entry(row_of(row)) {
+                        Entry::Occupied(slot) => slot,
+                        Entry::Vacant(slot) => slot.insert_entry(0),
+                    };
+                    let m = slot.get_mut();
                     *m += w;
                     if *m < 0 {
                         return Err(ChronicleError::Internal(format!(
@@ -283,7 +488,7 @@ impl PersistentView {
                         )));
                     }
                     if *m == 0 && !mutate("skip_consolidation") {
-                        counts.remove(row);
+                        slot.remove();
                     }
                 }
             }
@@ -294,7 +499,6 @@ impl PersistentView {
                 )))
             }
         }
-        self.applied_batches += 1;
         Ok(())
     }
 
@@ -339,7 +543,8 @@ impl PersistentView {
     /// defined", §2.1). A relation view folds in the relation's current
     /// rows, which is always possible. A chronicle view needs
     /// `Retention::All` on every base chronicle; otherwise this returns
-    /// the underlying [`ChronicleError::ChronicleNotStored`].
+    /// the underlying [`ChronicleError::ChronicleNotStored`]. A periodic
+    /// family is left empty.
     pub fn bootstrap(&mut self, catalog: &Catalog) -> Result<()> {
         let summarize = self.def.summarize();
         self.state = ViewState::empty(summarize);
@@ -349,6 +554,8 @@ impl PersistentView {
                     self.state.insert(summarize, t)?;
                 }
             }
+            // A family starts empty even over retained history.
+            ViewDef::Periodic(_) => {}
             ViewDef::Relation(query) => {
                 for t in catalog.relation(query.relation()).current().iter() {
                     if query.matches(t)? {
@@ -692,6 +899,28 @@ mod tests {
             &bytes[..bytes.len() - 2]
         )
         .is_err());
+    }
+
+    #[test]
+    fn periodic_def_refuses_keys_it_cannot_hold() {
+        let (cat, c) = setup(Retention::None);
+        let template = sum_view(&cat, c).expr().unwrap().clone();
+        let every = |anchor| Calendar::every(Chronon(anchor), 1).unwrap();
+        assert!(PeriodicDef::new(template.clone(), every(0), None).is_ok());
+        // From the chronon floor, step 1 indexes past i64::MAX.
+        assert!(matches!(
+            PeriodicDef::new(template, every(i64::MIN), None).unwrap_err(),
+            ChronicleError::InvalidSchema(_)
+        ));
+        // The template's own columns cannot shadow `interval`.
+        let base = CaExpr::chronicle(cat.chronicle(c));
+        let renamed = ScaExpr::group_agg(
+            base,
+            &["caller"],
+            vec![AggSpec::new(AggFunc::CountStar, "interval")],
+        )
+        .unwrap();
+        assert!(PeriodicDef::new(renamed, every(0), None).is_err());
     }
 
     #[test]

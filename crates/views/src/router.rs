@@ -8,8 +8,8 @@
 //!
 //! 1. **dependency filter** — only views whose expression references the
 //!    appended chronicle are candidates (a hash lookup),
-//! 2. **active-interval filter** — views tagged with a time interval (the
-//!    periodic machinery) are skipped when the batch chronon lies outside,
+//! 2. **active-interval filter** — a periodic family is skipped when no
+//!    interval of its calendar contains the batch chronon,
 //! 3. **guard-predicate filter** — if the view's expression applies
 //!    selections directly above each base occurrence, and no batch tuple
 //!    satisfies any occurrence's guard, every base delta is empty and the
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use chronicle_algebra::{Predicate, ScaExpr};
 use chronicle_types::{ChronicleId, Chronon, Result, Tuple, ViewId};
 
-use crate::calendar::Interval;
+use crate::calendar::Calendar;
 
 /// Routing metadata for one registered view.
 #[derive(Debug)]
@@ -30,9 +30,9 @@ struct ViewEntry {
     /// affected by an append to chronicle `c` iff some tuple satisfies some
     /// occurrence guard of `c` (an empty guard conjunction always passes).
     guards: HashMap<ChronicleId, Vec<Vec<Predicate>>>,
-    /// If set, the view only cares about batches whose chronon lies in the
-    /// interval.
-    active: Option<Interval>,
+    /// A periodic family's calendar: the family only cares about batches
+    /// whose chronon lies in one of its intervals.
+    calendar: Option<Calendar>,
 }
 
 /// Statistics from routing one append.
@@ -40,8 +40,8 @@ struct ViewEntry {
 pub struct RoutingDecision {
     /// Views depending on the appended chronicle.
     pub candidates: usize,
-    /// Candidates skipped because the batch chronon was outside their
-    /// active interval.
+    /// Candidates skipped because no interval of their calendar contained
+    /// the batch chronon.
     pub skipped_interval: usize,
     /// Candidates skipped because no tuple satisfied any guard.
     pub skipped_guard: usize,
@@ -62,13 +62,14 @@ impl Router {
         Self::default()
     }
 
-    /// Register a view's dependency and guard structure.
+    /// Register a view's dependency and guard structure, and a periodic
+    /// family's calendar.
     ///
     /// Re-registering an id replaces its routes wholesale: the old
     /// expression's chronicle dependencies are dropped first, so a view
     /// redefined over different chronicles stops routing (and being
     /// maintained) on chronicles it no longer references.
-    pub fn register(&mut self, id: ViewId, expr: &ScaExpr) {
+    pub fn register(&mut self, id: ViewId, expr: &ScaExpr, calendar: Option<&Calendar>) {
         self.unregister(id);
         let mut guards: HashMap<ChronicleId, Vec<Vec<Predicate>>> = HashMap::new();
         for (chron, preds) in expr.ca().base_guards() {
@@ -84,7 +85,7 @@ impl Router {
             id,
             ViewEntry {
                 guards,
-                active: None,
+                calendar: calendar.cloned(),
             },
         );
     }
@@ -97,14 +98,6 @@ impl Router {
                     v.retain(|&x| x != id);
                 }
             }
-        }
-    }
-
-    /// Tag a view with an active time interval (periodic views); `None`
-    /// clears the tag.
-    pub fn set_active_interval(&mut self, id: ViewId, interval: Option<Interval>) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.active = interval;
         }
     }
 
@@ -132,8 +125,8 @@ impl Router {
         decision.candidates = candidates.len();
         'views: for &vid in candidates {
             let entry = &self.entries[&vid];
-            if let Some(iv) = entry.active {
-                if !iv.contains(chronon) {
+            if let Some(calendar) = &entry.calendar {
+                if calendar.intervals_containing(chronon).is_empty() {
                     decision.skipped_interval += 1;
                     continue;
                 }
@@ -167,6 +160,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calendar::Interval;
     use chronicle_algebra::{AggFunc, AggSpec, CaExpr, CmpOp};
     use chronicle_store::{Catalog, Retention};
     use chronicle_types::{tuple, AttrType, Attribute, Schema, SeqNo, Value};
@@ -222,8 +216,8 @@ mod tests {
     fn dependency_filter() {
         let (cat, calls, texts) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &sum_view(&cat, calls));
-        r.register(ViewId(1), &sum_view(&cat, texts));
+        r.register(ViewId(0), &sum_view(&cat, calls), None);
+        r.register(ViewId(1), &sum_view(&cat, texts), None);
         let batch = vec![tuple![SeqNo(1), 555i64, 2.0f64]];
         let d = r.route(calls, Chronon(0), &batch).unwrap();
         assert_eq!(d.selected, vec![ViewId(0)]);
@@ -236,8 +230,8 @@ mod tests {
     fn guard_filter_skips_unaffected() {
         let (cat, calls, _) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &guarded_view(&cat, calls, 100.0));
-        r.register(ViewId(1), &sum_view(&cat, calls));
+        r.register(ViewId(0), &guarded_view(&cat, calls, 100.0), None);
+        r.register(ViewId(1), &sum_view(&cat, calls), None);
         let short_call = vec![tuple![SeqNo(1), 555i64, 2.0f64]];
         let d = r.route(calls, Chronon(0), &short_call).unwrap();
         assert_eq!(d.selected, vec![ViewId(1)]);
@@ -251,7 +245,7 @@ mod tests {
     fn guard_passes_if_any_tuple_matches() {
         let (cat, calls, _) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &guarded_view(&cat, calls, 100.0));
+        r.register(ViewId(0), &guarded_view(&cat, calls, 100.0), None);
         let mixed = vec![
             tuple![SeqNo(1), 555i64, 2.0f64],
             tuple![SeqNo(1), 777i64, 150.0f64],
@@ -264,19 +258,16 @@ mod tests {
     fn interval_filter() {
         let (cat, calls, _) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &sum_view(&cat, calls));
-        r.set_active_interval(
-            ViewId(0),
-            Some(Interval::new(Chronon(10), Chronon(20)).unwrap()),
-        );
+        let single = Calendar::single(Interval::new(Chronon(10), Chronon(20)).unwrap());
+        r.register(ViewId(0), &sum_view(&cat, calls), Some(&single));
         let batch = vec![tuple![SeqNo(1), 555i64, 2.0f64]];
         let d = r.route(calls, Chronon(5), &batch).unwrap();
         assert!(d.selected.is_empty());
         assert_eq!(d.skipped_interval, 1);
         let d = r.route(calls, Chronon(15), &batch).unwrap();
         assert_eq!(d.selected, vec![ViewId(0)]);
-        // Clearing the tag restores unconditional routing.
-        r.set_active_interval(ViewId(0), None);
+        // Re-registering without a calendar restores unconditional routing.
+        r.register(ViewId(0), &sum_view(&cat, calls), None);
         let d = r.route(calls, Chronon(5), &batch).unwrap();
         assert_eq!(d.selected, vec![ViewId(0)]);
     }
@@ -285,7 +276,7 @@ mod tests {
     fn unregister_removes_view() {
         let (cat, calls, _) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &sum_view(&cat, calls));
+        r.register(ViewId(0), &sum_view(&cat, calls), None);
         assert_eq!(r.len(), 1);
         r.unregister(ViewId(0));
         assert!(r.is_empty());
@@ -304,8 +295,8 @@ mod tests {
         // no longer has.
         let (cat, calls, texts) = setup();
         let mut r = Router::new();
-        r.register(ViewId(0), &sum_view(&cat, calls));
-        r.register(ViewId(0), &sum_view(&cat, texts));
+        r.register(ViewId(0), &sum_view(&cat, calls), None);
+        r.register(ViewId(0), &sum_view(&cat, texts), None);
         assert_eq!(r.len(), 1);
         let batch = vec![tuple![SeqNo(1), 555i64, 2.0f64]];
         let d = r.route(calls, Chronon(0), &batch).unwrap();
@@ -324,7 +315,7 @@ mod tests {
         let expr = ScaExpr::group_agg(u, &["caller"], vec![AggSpec::new(AggFunc::CountStar, "n")])
             .unwrap();
         let mut r = Router::new();
-        r.register(ViewId(0), &expr);
+        r.register(ViewId(0), &expr, None);
         let batch = vec![tuple![SeqNo(1), 555i64, 2.0f64]];
         assert_eq!(
             r.route(calls, Chronon(0), &batch).unwrap().selected.len(),
@@ -351,7 +342,7 @@ mod tests {
         )
         .unwrap();
         let mut r = Router::new();
-        r.register(ViewId(0), &expr);
+        r.register(ViewId(0), &expr, None);
         // Satisfies p2 but not p1 -> skipped.
         let d = r
             .route(calls, Chronon(0), &[tuple![SeqNo(1), 555i64, 1.0f64]])

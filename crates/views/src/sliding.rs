@@ -25,8 +25,8 @@
 //! may hold the witness) keep the merge-scan, which stays exact because
 //! buckets are disjoint.
 //!
-//! Contrast with [`crate::PeriodicViewSet`] over a sliding calendar, which
-//! maintains one full view per overlapping window and hence does
+//! Contrast with a periodic family ([`crate::PeriodicDef`]) over a sliding
+//! calendar, which maintains one full view per overlapping window and hence does
 //! `width/step` times the work per append — the comparison is experiment E8.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -71,6 +71,11 @@ fn print_views(db: &ShardedDb) {
                     expr.im_class().to_string(),
                     expr.to_string(),
                 ),
+                ViewDef::Periodic(family) => (
+                    family.template().language_name(),
+                    family.template().im_class().to_string(),
+                    format!("{} OVER {:?}", family.template(), family.calendar()),
+                ),
                 ViewDef::Relation(query) => ("RQ", String::new(), query.to_string()),
             };
             println!(

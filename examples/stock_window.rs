@@ -57,18 +57,16 @@ fn main() -> Result<(), ChronicleError> {
     }
 
     // Compare today's 30-day totals, both mechanisms, for every symbol.
-    let window30 = db.periodic_view("window30")?;
     // The window *ending* today started 29 days ago; its calendar index is
-    // its start day.
-    let window_idx = (day - 29).max(0) as u64;
+    // its start day, the leading `interval` column of the family's key.
+    let window_idx = Value::Int((day - 29).max(0));
     println!("symbol | cyclic 30-day shares | periodic-view shares");
     let mut checked = 0;
     for sym in ["T", "IBM", "GE", "XON", "MO", "DD", "KO", "PG"] {
-        let key = [Value::str(sym)];
-        let cyc = cyclic.query(&key, Chronon(day))?[0].clone();
-        let per = window30
-            .query(window_idx, &key)
-            .map(|r| r.get(1).clone())
+        let cyc = cyclic.query(&[Value::str(sym)], Chronon(day))?[0].clone();
+        let per = db
+            .query_view_key("window30", &[window_idx.clone(), Value::str(sym)])?
+            .map(|r| r.get(2).clone())
             .unwrap_or(Value::Null);
         println!("{sym:6} | {cyc:>20} | {per:>20}");
         assert_eq!(cyc, per, "mechanisms must agree for {sym}");
@@ -78,10 +76,16 @@ fn main() -> Result<(), ChronicleError> {
 
     // Cost comparison: the cyclic buffer did one bucket update per trade;
     // the periodic family maintained up to 30 window views per trade.
-    let (live, closed, expired) = window30.counts();
+    let mut windows: Vec<Value> = db
+        .query_view("window30")?
+        .iter()
+        .map(|r| r.get(0).clone())
+        .collect();
+    windows.dedup();
     println!(
-        "periodic family: {live} live windows, {closed} closed, {expired} expired; \
+        "periodic family: {} materialised windows; \
          cyclic buffer: {} accumulator updates total ({}/trade)",
+        windows.len(),
         cyclic.updates(),
         cyclic.updates() / 600
     );

@@ -219,15 +219,17 @@ echo "== sharded maintenance gate (offline) =="
 SHARDS=4 cargo test -q --offline --test maintenance_independence
 SHARDS=4 cargo test -q --offline --test oracle_equivalence
 # End-to-end reopen through the repl: write a durable database in one
-# process (a chronicle view and a relation view, a checkpoint between the
-# appends), abandon it without a clean shutdown, and from a second process
-# query the recovered chronicle view and list both views: DDL replay plus
-# checkpoint restore of either kind of view.
+# process (a chronicle view, a periodic family and a relation view, a
+# checkpoint between the appends), abandon it without a clean shutdown,
+# and from a second process query the recovered chronicle view and
+# family and list all three: DDL replay plus checkpoint restore of every
+# kind of view.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run -q --offline --example repl -- "$tmp/db" <<'EOF' >/dev/null
 CREATE CHRONICLE calls (sn SEQ, caller INT, minutes FLOAT)
 CREATE VIEW totals AS SELECT caller, SUM(minutes) AS m FROM calls GROUP BY caller
+CREATE PERIODIC VIEW monthly AS SELECT caller, SUM(minutes) AS m FROM calls GROUP BY caller OVER CALENDAR EVERY 30
 CREATE RELATION accts (acct INT, region INT, PRIMARY KEY (acct))
 INSERT INTO accts VALUES (1, 10)
 CREATE VIEW by_region AS SELECT region, COUNT(*) AS n FROM accts GROUP BY region
@@ -237,11 +239,13 @@ APPEND INTO calls VALUES (7, 2.5)
 EOF
 reopened="$(cargo run -q --offline --example repl -- "$tmp/db" <<'EOF'
 SELECT * FROM totals
+SELECT * FROM monthly
 .views
 EOF
 )"
-grep -q "(1 row(s))" <<<"$reopened"
+[ "$(grep -c "(1 row(s))" <<<"$reopened")" -eq 2 ]
 grep -q "totals .*SCA" <<<"$reopened"
+grep -q "monthly .*SCA" <<<"$reopened"
 grep -q "by_region .*RQ" <<<"$reopened"
 
 echo "verify: OK"

@@ -18,8 +18,8 @@
 //! — crash-induced, clean reopen, or the hard power cut that ends every
 //! schedule — it rebuilds a fresh in-memory database replaying that
 //! prefix and compares complete logical state (every view snapshot
-//! byte-for-byte, periodic-view snapshots, relation contents, chronicle
-//! windows and watermarks).
+//! byte-for-byte, periodic families included, relation contents,
+//! chronicle windows and watermarks).
 //!
 //! A crash can strike mid-statement, leaving exactly one statement
 //! *in flight*: its WAL record may or may not have reached the durable
@@ -1167,8 +1167,8 @@ fn fresh(shards: Option<usize>, seed: u64) -> Result<ShardedDb, SimFailure> {
 // ---- state digest ---------------------------------------------------------
 
 /// A deterministic text rendering of one database's complete logical
-/// state: every persistent-view snapshot byte-for-byte, periodic-view
-/// snapshots, relation current versions, chronicle windows and counters,
+/// state: every persistent-view snapshot byte-for-byte (periodic families
+/// included), relation current versions, chronicle windows and counters,
 /// and group watermarks. Two databases are state-equivalent iff their
 /// digests are equal; the text form makes the first diverging line
 /// reportable.
@@ -1178,15 +1178,6 @@ fn digest_single(db: &ChronicleDb) -> String {
     views.sort();
     for (name, bytes) in views {
         writeln!(out, "view {name} {bytes:?}").expect("string write");
-    }
-    let mut periodic: Vec<&str> = db.periodic_view_names().collect();
-    periodic.sort_unstable();
-    for name in periodic {
-        let snap = db
-            .periodic_view(name)
-            .expect("listed periodic view exists")
-            .snapshot();
-        writeln!(out, "periodic {name} {snap:?}").expect("string write");
     }
     for (name, rel) in db.catalog().relations() {
         let cur = rel.current();

@@ -6,8 +6,21 @@ use chronicle_testkit::prop::{ints, pair, triple, vec_of};
 use chronicle_testkit::{prop_assert_eq, prop_test};
 
 use chronicle::algebra::{AggFunc, AggSpec, CaExpr, ScaExpr};
+use chronicle::db::ShardedDb;
 use chronicle::prelude::*;
 use chronicle::views::SlidingWindow;
+
+/// The distinct `interval` values a family currently materialises.
+fn intervals(db: &ChronicleDb, family: &str) -> Vec<i64> {
+    let mut idx: Vec<i64> = db
+        .query_view(family)
+        .unwrap()
+        .iter()
+        .map(|row| row.get(0).as_int().unwrap())
+        .collect();
+    idx.dedup();
+    idx
+}
 
 fn trade_db(retain_all: bool) -> ChronicleDb {
     let mut db = ChronicleDb::new();
@@ -37,21 +50,15 @@ fn monthly_billing_statements() {
     db.execute("APPEND INTO trades AT 59 VALUES ('IBM', 1)")
         .unwrap();
 
-    let set = db.periodic_view("monthly").unwrap();
-    assert_eq!(
-        set.query(0, &[Value::str("T")]).unwrap().get(1),
-        &Value::Int(150)
-    );
-    assert_eq!(
-        set.query(1, &[Value::str("T")]).unwrap().get(1),
-        &Value::Int(7)
-    );
-    assert_eq!(
-        set.query(1, &[Value::str("IBM")]).unwrap().get(1),
-        &Value::Int(1)
-    );
-    let (live, closed, expired) = set.counts();
-    assert_eq!((live, closed, expired), (1, 1, 0));
+    let vol = |idx: i64, symbol: &str| {
+        db.query_view_key("monthly", &[Value::Int(idx), Value::str(symbol)])
+            .unwrap()
+            .map(|row| row.get(2).clone())
+    };
+    assert_eq!(vol(0, "T"), Some(Value::Int(150)));
+    assert_eq!(vol(1, "T"), Some(Value::Int(7)));
+    assert_eq!(vol(1, "IBM"), Some(Value::Int(1)));
+    assert_eq!(intervals(&db, "monthly"), vec![0, 1]);
 }
 
 #[test]
@@ -66,13 +73,12 @@ fn expiry_bounds_space_for_infinite_calendars() {
         db.execute(&format!("APPEND INTO trades AT {day} VALUES ('T', 1)"))
             .unwrap();
     }
-    let (live, closed, expired) = db.periodic_view("m").unwrap().counts();
-    assert_eq!(live, 1);
+    let kept = intervals(&db, "m");
     assert!(
-        closed <= 2,
-        "expiry keeps closed views bounded, got {closed}"
+        kept.len() <= 3,
+        "expiry keeps the family bounded, got intervals {kept:?}"
     );
-    assert!(expired >= 45);
+    assert_eq!(kept.last(), Some(&49), "the current interval is kept");
 }
 
 #[test]
@@ -98,13 +104,58 @@ fn single_interval_calendar_is_a_plain_selected_view() {
         db.execute(&format!("APPEND INTO trades AT {day} VALUES ('T', 1)"))
             .unwrap();
     }
-    let set = db.periodic_view("q1").unwrap();
     // Only days 10..19 counted.
     assert_eq!(
-        set.query(0, &[Value::str("T")]).unwrap().get(1),
+        db.query_view_key("q1", &[Value::Int(0), Value::str("T")])
+            .unwrap()
+            .unwrap()
+            .get(2),
         &Value::Int(10)
     );
-    assert!(set.query(1, &[Value::str("T")]).is_none());
+    assert!(db
+        .query_view_key("q1", &[Value::Int(1), Value::str("T")])
+        .unwrap()
+        .is_none());
+}
+
+/// A family's expiry follows the clock of the appends routed to it, never
+/// an append to a chronicle in another group, whose clock is independent.
+/// The answer is the same on one engine and with the two groups on two
+/// shards.
+#[test]
+fn family_expiry_follows_its_own_group_clock() {
+    for expire in ["", " EXPIRE AFTER 10"] {
+        let one = ChronicleDb::new().into();
+        let two = ShardedDb::new(2).unwrap();
+        for mut db in [one, two] {
+            for sql in [
+                "CREATE GROUP a",
+                "CREATE GROUP b",
+                "CREATE CHRONICLE txns (sn SEQ, acct INT, amt INT) IN GROUP a",
+                "CREATE CHRONICLE other (sn SEQ, x INT) IN GROUP b",
+                &format!(
+                    "CREATE PERIODIC VIEW m AS SELECT acct, SUM(amt) AS total FROM txns \
+                     GROUP BY acct OVER CALENDAR EVERY 30{expire}"
+                ),
+                "APPEND INTO txns AT 5 VALUES (7, 10)",
+                "APPEND INTO other AT 100 VALUES (1)",
+                "APPEND INTO txns AT 6 VALUES (7, 1)",
+            ] {
+                db.execute(sql).unwrap();
+            }
+            assert_eq!(
+                db.query_view_key("m", &[Value::Int(0), Value::Int(7)])
+                    .unwrap(),
+                Some(Tuple::new(vec![
+                    Value::Int(0),
+                    Value::Int(7),
+                    Value::Int(11)
+                ])),
+                "{} shard(s){expire}",
+                db.shard_count()
+            );
+        }
+    }
 }
 
 prop_test! {
@@ -158,15 +209,14 @@ prop_test! {
         }
 
         // The window ending today started (width-1) days ago.
-        let idx = (day - (width - 1)).max(0) as u64;
-        let set = db.periodic_view("win").unwrap();
+        let idx = (day - (width - 1)).max(0);
         for symbol in symbols {
             let key = [Value::str(symbol)];
             let cyc = cyclic.query(&key, Chronon(day)).unwrap();
-            match set.query(idx, &key) {
+            match db.query_view_key("win", &[Value::Int(idx), Value::str(symbol)]).unwrap() {
                 Some(row) => {
-                    prop_assert_eq!(&cyc[0], row.get(1), "SUM mismatch for {}", symbol);
-                    prop_assert_eq!(&cyc[1], row.get(2), "MAX mismatch for {}", symbol);
+                    prop_assert_eq!(&cyc[0], row.get(2), "SUM mismatch for {}", symbol);
+                    prop_assert_eq!(&cyc[1], row.get(3), "MAX mismatch for {}", symbol);
                 }
                 None => {
                     prop_assert_eq!(&cyc[0], &Value::Null, "{} traded?", symbol);
@@ -203,11 +253,10 @@ prop_test! {
             .unwrap()
             .and_then(|r| r.get(1).as_int())
             .unwrap_or(0);
-        let set = db.periodic_view("monthly").unwrap();
         let mut monthly_total = 0i64;
-        for (_, state) in set.live_views().chain(set.closed_views()) {
-            if let Some(row) = state.view.get(&[Value::str("T")]) {
-                monthly_total += row.get(1).as_int().unwrap_or(0);
+        for row in db.query_view("monthly").unwrap() {
+            if row.get(1) == &Value::str("T") {
+                monthly_total += row.get(2).as_int().unwrap_or(0);
             }
         }
         prop_assert_eq!(monthly_total, lifetime);

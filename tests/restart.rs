@@ -155,14 +155,16 @@ fn relations_and_periodic_views_survive_reopen() {
         db.catalog().relation(rid).log(),
         oracle.catalog().relation(orid).log()
     );
-    // Periodic intervals: same live/closed population and same answers.
-    let p = db.periodic_view("weekly").unwrap();
-    let op = oracle.periodic_view("weekly").unwrap();
-    assert_eq!(p.counts(), op.counts());
+    // Periodic intervals: same intervals and same answers.
+    assert_eq!(
+        db.query_view("weekly").unwrap(),
+        oracle.query_view("weekly").unwrap()
+    );
     for idx in 0..3 {
+        let key = [Value::Int(idx), Value::Int(1)];
         assert_eq!(
-            p.query(idx, &[Value::Int(1)]),
-            op.query(idx, &[Value::Int(1)])
+            db.query_view_key("weekly", &key).unwrap(),
+            oracle.query_view_key("weekly", &key).unwrap()
         );
     }
 }

@@ -3,9 +3,10 @@
 //! Checkpoint images embed `snapshot_views()` verbatim, so an image written
 //! by one build must restore under the next. The round-trip tests elsewhere
 //! only prove a build agrees with itself; this test compares the bytes
-//! against committed literals for all four view shapes (chronicle group,
-//! chronicle projection, relation group, relation projection) and pins the
-//! emission order: chronicle views first, then relation views, each in id
+//! against committed literals for all five view shapes (chronicle group,
+//! chronicle projection, grouped periodic family over two intervals,
+//! relation group, relation projection) and pins the emission order:
+//! chronicle views and families first, then relation views, each in id
 //! order — the relation views here are created *before* the chronicle
 //! views, so an order keyed on id alone would fail.
 
@@ -15,7 +16,7 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn four_shapes() -> ChronicleDb {
+fn five_shapes() -> ChronicleDb {
     let mut db = ChronicleDb::new();
     for sql in [
         "CREATE RELATION accts (acct INT, region INT, rate FLOAT, PRIMARY KEY (acct))",
@@ -27,6 +28,8 @@ fn four_shapes() -> ChronicleDb {
         "CREATE VIEW totals AS SELECT caller, SUM(minutes) AS m, COUNT(*) AS n \
          FROM calls GROUP BY caller",
         "CREATE VIEW callers AS SELECT caller FROM calls",
+        "CREATE PERIODIC VIEW daily AS SELECT caller, SUM(minutes) AS m FROM calls \
+         GROUP BY caller OVER CALENDAR EVERY 2",
         "APPEND INTO calls VALUES (7, 2.5), (8, 1.0)",
         "APPEND INTO calls VALUES (7, 4.0)",
         "UPDATE accts SET region = 20 WHERE acct = 2",
@@ -40,7 +43,7 @@ fn four_shapes() -> ChronicleDb {
 
 #[test]
 fn snapshot_views_bytes_are_pinned() {
-    let got: Vec<(String, String)> = four_shapes()
+    let got: Vec<(String, String)> = five_shapes()
         .snapshot_views()
         .into_iter()
         .map(|(name, bytes)| (name, hex(&bytes)))
@@ -60,6 +63,16 @@ fn snapshot_views_bytes_are_pinned() {
             "0500000043485256310200000000000000010200000000000000010000000207\
                 0000000000000002000000000000000100000002080000000000000001000000\
                 00000000",
+        ),
+        (
+            "daily",
+            "0500000043485246310200000000000000000300000000000000020000000200\
+                0000000000000002070000000000000001000000020200000001000000000000\
+                0000000000000000044001000000000000000100000000000000020000000200\
+                0000000000000002080000000000000001000000020200000001000000000000\
+                0000000000000000f03f01000000000000000100000000000000020000000201\
+                0000000000000002070000000000000001000000020200000001000000000000\
+                0000000000000000104001000000000000000100000000000000",
         ),
         (
             "by_region",

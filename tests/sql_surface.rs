@@ -1,6 +1,7 @@
 //! Broad coverage of the declarative surface: every statement kind, every
 //! aggregate, qualified names, retention clauses, calendars.
 
+use chronicle::db::{ExecOutcome, ShardedDb};
 use chronicle::prelude::*;
 
 #[test]
@@ -155,37 +156,70 @@ fn periodic_view_sql_variants() {
     let mut db = ChronicleDb::new();
     db.execute("CREATE CHRONICLE c (sn SEQ, k INT, v FLOAT)")
         .unwrap();
-    db.execute(
-        "CREATE PERIODIC VIEW weekly AS SELECT k, SUM(v) AS s FROM c GROUP BY k \
-         OVER CALENDAR EVERY 7",
-    )
-    .unwrap();
+    let periodic_weekly = "CREATE PERIODIC VIEW weekly AS SELECT k, SUM(v) AS s FROM c \
+                           GROUP BY k OVER CALENDAR EVERY 7";
+    db.execute(periodic_weekly).unwrap();
     db.execute(
         "CREATE PERIODIC VIEW sliding AS SELECT k, SUM(v) AS s FROM c GROUP BY k \
          OVER CALENDAR SLIDING 7 STEP 2 ANCHOR 1 EXPIRE AFTER 14",
     )
     .unwrap();
     db.execute("APPEND INTO c AT 8 VALUES (1, 2.0)").unwrap();
-    assert!(db
-        .periodic_view("weekly")
-        .unwrap()
-        .query(1, &[Value::Int(1)])
-        .is_some());
+    let row = |family: &str, idx: i64| {
+        db.query_view_key(family, &[Value::Int(idx), Value::Int(1)])
+            .unwrap()
+    };
+    assert!(row("weekly", 1).is_some());
     // Sliding windows starting at 1+2i covering chronon 8: i in {1, 2, 3}
     // gives starts 3, 5, 7.
-    let s = db.periodic_view("sliding").unwrap();
-    assert!(s.query(1, &[Value::Int(1)]).is_some());
-    assert!(s.query(3, &[Value::Int(1)]).is_some());
-    assert!(s.query(4, &[Value::Int(1)]).is_none());
-    // Duplicate periodic name rejected.
+    assert!(row("sliding", 1).is_some());
+    assert!(row("sliding", 3).is_some());
+    assert!(row("sliding", 4).is_none());
+    // A family answers SELECT like any view, filtered on `interval`.
+    match db
+        .execute("SELECT * FROM sliding WHERE interval = 2 AND k = 1")
+        .unwrap()
+    {
+        ExecOutcome::Rows(rows) => {
+            let want = Tuple::new(vec![Value::Int(2), Value::Int(1), Value::Float(2.0)]);
+            assert_eq!(rows, vec![want]);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    // Duplicate family name rejected.
     assert!(matches!(
-        db.execute(
-            "CREATE PERIODIC VIEW weekly AS SELECT k, SUM(v) AS s FROM c GROUP BY k \
-             OVER CALENDAR EVERY 7"
-        )
-        .unwrap_err(),
+        db.execute(periodic_weekly).unwrap_err(),
         ChronicleError::AlreadyExists { .. }
     ));
+    // One name space: a name taken by either kind of view refuses the
+    // other kind too, on one engine and on shards.
+    let mut one = ChronicleDb::new();
+    refuses_cross_kind_duplicates(|sql| one.execute(sql), periodic_weekly);
+    let mut two = ShardedDb::new(2).unwrap();
+    refuses_cross_kind_duplicates(|sql| two.execute(sql), periodic_weekly);
+}
+
+fn refuses_cross_kind_duplicates(
+    mut exec: impl FnMut(&str) -> Result<ExecOutcome, ChronicleError>,
+    periodic_weekly: &str,
+) {
+    let plain_m = "CREATE VIEW m AS SELECT k, SUM(v) AS s FROM c GROUP BY k";
+    let periodic_m = "CREATE PERIODIC VIEW m AS SELECT k, SUM(v) AS s FROM c GROUP BY k \
+                      OVER CALENDAR EVERY 7";
+    let plain_weekly = "CREATE VIEW weekly AS SELECT k, SUM(v) AS s FROM c GROUP BY k";
+    for sql in [
+        "CREATE CHRONICLE c (sn SEQ, k INT, v FLOAT)",
+        plain_m,
+        periodic_weekly,
+    ] {
+        exec(sql).unwrap();
+    }
+    for dup in [periodic_m, plain_weekly] {
+        assert!(
+            matches!(exec(dup).unwrap_err(), ChronicleError::AlreadyExists { .. }),
+            "{dup}"
+        );
+    }
 }
 
 #[test]
