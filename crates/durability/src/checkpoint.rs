@@ -187,9 +187,17 @@ impl CheckpointImage {
         out
     }
 
-    /// Decode and validate; any failure is [`ChronicleError::Corruption`].
+    /// Decode and validate. An intact image of another format (a `CHR`
+    /// magic other than `CHRCKPT1`, or a non-empty legacy `CHRP1` section)
+    /// is [`ChronicleError::UnsupportedFormat`]; any other failure is
+    /// [`ChronicleError::Corruption`].
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage> {
         let corrupt = |detail: String| ChronicleError::Corruption { detail };
+        let unsupported = |found: String| ChronicleError::UnsupportedFormat {
+            artifact: "checkpoint image".into(),
+            found,
+            supported: format!("{MAGIC} with periodic families as views"),
+        };
         if bytes.len() < 4 {
             return Err(corrupt("checkpoint file too short".into()));
         }
@@ -200,7 +208,11 @@ impl CheckpointImage {
         }
         let mut r = Reader::new(body);
         let mut parse = || -> Result<CheckpointImage> {
-            if r.str()? != MAGIC {
+            let magic = r.str()?;
+            if magic != MAGIC {
+                if magic.starts_with("CHR") {
+                    return Err(unsupported(magic));
+                }
                 return Err(ChronicleError::Internal("bad checkpoint magic".into()));
             }
             let lsn = r.u64()?;
@@ -270,12 +282,10 @@ impl CheckpointImage {
             }
             let legacy = r.u32()?;
             if legacy != 0 {
-                return Err(ChronicleError::Corruption {
-                    detail: format!(
-                        "image holds {legacy} periodic-family snapshot(s) in the legacy \
-                         `CHRP1` section of an older format, which this build does not read"
-                    ),
-                });
+                return Err(unsupported(format!(
+                    "{MAGIC} with {legacy} periodic-family snapshot(s) in the legacy `CHRP1` \
+                     section of an older format"
+                )));
             }
             let (term, sessions) = if r.at_end() {
                 (0, Vec::new())
@@ -294,7 +304,10 @@ impl CheckpointImage {
                 sessions,
             })
         };
-        let image = parse().map_err(|e| corrupt(format!("checkpoint undecodable: {e}")))?;
+        let image = parse().map_err(|e| match e {
+            e @ ChronicleError::UnsupportedFormat { .. } => e,
+            e => corrupt(format!("checkpoint undecodable: {e}")),
+        })?;
         if !r.at_end() {
             return Err(corrupt("trailing bytes after checkpoint image".into()));
         }
@@ -397,7 +410,9 @@ pub fn load_latest_with_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<(Option<Checkpo
 /// are retried with backoff either way. Salvage additionally moves each
 /// undecodable image into `dir/quarantine/` (the returned paths) instead
 /// of leaving it in place, and treats a *persistently* unreadable image as
-/// one more file to skip rather than failing the open.
+/// one more file to skip rather than failing the open. An intact image
+/// of another format is neither skipped nor quarantined: both policies
+/// fail with [`ChronicleError::UnsupportedFormat`] naming the file.
 ///
 /// The final element is the highest lsn named by a skipped or quarantined
 /// image (0 when none was dropped): a checkpoint at lsn X proves records
@@ -435,13 +450,26 @@ pub fn load_latest_salvaging_with_vfs(
         };
         match CheckpointImage::decode(&bytes) {
             Ok(image) => return Ok((Some(image), skipped, quarantined, dropped_lsn)),
-            Err(_) => {
+            Err(ChronicleError::Corruption { .. }) => {
                 skipped += 1;
                 dropped_lsn = dropped_lsn.max(lsn);
                 if salvage {
                     quarantined.push(quarantine_rename(vfs, dir, &path, fsync)?);
                 }
             }
+            // An intact image of another format is not rot: falling back
+            // past it would open (or quarantine) a well-formed database
+            // to an older state, so both policies refuse it by name.
+            Err(ChronicleError::UnsupportedFormat {
+                found, supported, ..
+            }) => {
+                return Err(ChronicleError::UnsupportedFormat {
+                    artifact: format!("checkpoint {}", path.display()),
+                    found,
+                    supported,
+                });
+            }
+            Err(e) => return Err(e),
         }
     }
     Ok((None, skipped, quarantined, dropped_lsn))
@@ -508,8 +536,8 @@ mod tests {
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
         match CheckpointImage::decode(&body) {
-            Err(ChronicleError::Corruption { detail }) => {
-                assert!(detail.contains("older format"), "{detail}")
+            Err(ChronicleError::UnsupportedFormat { found, .. }) => {
+                assert!(found.contains("CHRP1"), "{found}")
             }
             other => panic!("legacy section must be refused, got {other:?}"),
         }

@@ -396,9 +396,12 @@ impl Wal {
                 None
             };
             let untrusted: Option<String> = match header_first {
-                None if last && !salvage => {
+                None if last && !salvage && data.len() <= HEADER_LEN => {
                     // A crash while creating a fresh segment: nothing in it
-                    // was ever acknowledged, so drop the file.
+                    // was ever acknowledged, so drop the file. Torn writes
+                    // keep a byte prefix, so a longer file has its whole
+                    // header on disk: a bad one there is rot over frames
+                    // that may be acknowledged, refused below.
                     stats.torn_bytes_discarded += data.len() as u64;
                     vfs.remove_file(&path)
                         .map_err(|e| io_err("removing torn WAL segment", &path, e))?;

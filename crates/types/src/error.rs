@@ -141,6 +141,19 @@ pub enum ChronicleError {
         /// What failed validation.
         detail: String,
     },
+    /// A durable artifact is intact but written in a format this build
+    /// does not read (another generation of the same family of magics, or
+    /// a section an older format used). Unlike [`ChronicleError::Corruption`]
+    /// nothing is damaged: recovery refuses the artifact instead of
+    /// skipping or quarantining it, so the operator learns the reason.
+    UnsupportedFormat {
+        /// Which artifact, e.g. the checkpoint file's path.
+        artifact: String,
+        /// The format found.
+        found: String,
+        /// The format this build reads.
+        supported: String,
+    },
     /// A request carried a stale leadership term: the sender is (or is
     /// talking to) a deposed leader. Fencing keeps a zombie ex-leader — or
     /// its WAL shipper — from diverging the replicated history; the caller
@@ -228,6 +241,14 @@ impl fmt::Display for ChronicleError {
             ChronicleError::Corruption { detail } => {
                 write!(f, "durable state corrupted: {detail}")
             }
+            ChronicleError::UnsupportedFormat {
+                artifact,
+                found,
+                supported,
+            } => write!(
+                f,
+                "unsupported format: {artifact} is {found}, this build reads {supported}"
+            ),
             ChronicleError::Fenced { observed, current } => write!(
                 f,
                 "fenced: request carried stale term {observed}, current term is {current}"

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use chronicle::sim::{
     run_failover_seed, run_replication_seed, run_seed, run_seed_bit_rot, run_seed_bit_rot_sharded,
-    run_seed_sharded, FailoverReport, ReplicationReport, SimReport,
+    run_seed_sharded, NetReport, SimReport,
 };
 use chronicle::simkit::ScheduleConfig;
 
@@ -68,118 +68,17 @@ fn main() -> ExitCode {
         ..ScheduleConfig::default()
     };
     let start = Instant::now();
+    let mode = if failover {
+        " --failover"
+    } else if replication {
+        " --replication"
+    } else if bit_rot {
+        " --bit-rot"
+    } else {
+        ""
+    };
 
-    if failover {
-        let mut totals = FailoverReport::default();
-        let mut ran = 0u64;
-        for seed in base..base.saturating_add(seeds) {
-            if start.elapsed().as_millis() as u64 >= budget_ms {
-                break;
-            }
-            // Even seeds pair single-shard nodes, odd seeds sharded ones.
-            let n = if shards == 0 || seed % 2 == 0 {
-                1
-            } else {
-                shards
-            };
-            match run_failover_seed(seed, n, &cfg) {
-                Ok(r) => {
-                    ran += 1;
-                    totals.stamped_acked += r.stamped_acked;
-                    totals.promotions += r.promotions;
-                    totals.fencing_probes += r.fencing_probes;
-                    totals.dedupe_retries += r.dedupe_retries;
-                    totals.partitions += r.partitions;
-                    totals.heartbeat_duplicates += r.heartbeat_duplicates;
-                    totals.connection_cuts += r.connection_cuts;
-                    totals.follower_kills += r.follower_kills;
-                    totals.pump_cycles += r.pump_cycles;
-                    totals.bytes_shipped += r.bytes_shipped;
-                    totals.bytes_lost_in_flight += r.bytes_lost_in_flight;
-                }
-                Err(f) => {
-                    eprintln!("{f}");
-                    eprintln!(
-                        "reproduce: cargo run --release --example sim -- \
-                         --base {} --seeds 1 --shards {shards} --ops {ops} --failover",
-                        f.seed
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        println!(
-            "failover sim ok: {ran} seeds ({} acked stamps, {} promotions, \
-             {} fencing probes, {} dedupe retries, {} partitions, {} heartbeat dups, \
-             {} cuts, {} follower kills, {} pump cycles, {} bytes shipped, \
-             {} bytes lost in flight) in {:?}",
-            totals.stamped_acked,
-            totals.promotions,
-            totals.fencing_probes,
-            totals.dedupe_retries,
-            totals.partitions,
-            totals.heartbeat_duplicates,
-            totals.connection_cuts,
-            totals.follower_kills,
-            totals.pump_cycles,
-            totals.bytes_shipped,
-            totals.bytes_lost_in_flight,
-            start.elapsed()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if replication {
-        let mut totals = ReplicationReport::default();
-        let mut ran = 0u64;
-        for seed in base..base.saturating_add(seeds) {
-            if start.elapsed().as_millis() as u64 >= budget_ms {
-                break;
-            }
-            // Even seeds pair single-shard nodes, odd seeds sharded ones.
-            let n = if shards == 0 || seed % 2 == 0 {
-                1
-            } else {
-                shards
-            };
-            match run_replication_seed(seed, n, &cfg) {
-                Ok(r) => {
-                    ran += 1;
-                    totals.sql_acked += r.sql_acked;
-                    totals.pump_cycles += r.pump_cycles;
-                    totals.connection_cuts += r.connection_cuts;
-                    totals.follower_kills += r.follower_kills;
-                    totals.leader_kills += r.leader_kills;
-                    totals.bytes_shipped += r.bytes_shipped;
-                    totals.bytes_lost_in_flight += r.bytes_lost_in_flight;
-                }
-                Err(f) => {
-                    eprintln!("{f}");
-                    eprintln!(
-                        "reproduce: cargo run --release --example sim -- \
-                         --base {} --seeds 1 --shards {shards} --ops {ops} --replication",
-                        f.seed
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        println!(
-            "replication sim ok: {ran} seeds ({} acked stmts, {} pump cycles, \
-             {} cuts, {} follower kills, {} leader kills, {} bytes shipped, \
-             {} bytes lost in flight) in {:?}",
-            totals.sql_acked,
-            totals.pump_cycles,
-            totals.connection_cuts,
-            totals.follower_kills,
-            totals.leader_kills,
-            totals.bytes_shipped,
-            totals.bytes_lost_in_flight,
-            start.elapsed()
-        );
-        return ExitCode::SUCCESS;
-    }
-
+    let mut net = NetReport::default();
     let mut totals = SimReport::default();
     let mut halted = 0u64;
     let mut ran = 0u64;
@@ -187,18 +86,22 @@ fn main() -> ExitCode {
         if start.elapsed().as_millis() as u64 >= budget_ms {
             break;
         }
-        // Even seeds drive the single-database topology, odd seeds the
-        // sharded one, so one sweep covers both recovery paths.
+        // Even seeds drive the single-shard topology, odd seeds the
+        // sharded one, so one sweep covers both paths.
         let single = shards == 0 || seed % 2 == 0;
-        let result = match (single, bit_rot) {
-            (true, false) => run_seed(seed, &cfg),
-            (false, false) => run_seed_sharded(seed, shards, &cfg),
-            (true, true) => run_seed_bit_rot(seed, &cfg),
-            (false, true) => run_seed_bit_rot_sharded(seed, shards, &cfg),
-        };
-        match result {
-            Ok(r) => {
-                ran += 1;
+        let n = if single { 1 } else { shards };
+        let result = if failover {
+            run_failover_seed(seed, n, &cfg).map(|r| net += r)
+        } else if replication {
+            run_replication_seed(seed, n, &cfg).map(|r| net += r)
+        } else {
+            match (single, bit_rot) {
+                (true, false) => run_seed(seed, &cfg),
+                (false, false) => run_seed_sharded(seed, shards, &cfg),
+                (true, true) => run_seed_bit_rot(seed, &cfg),
+                (false, true) => run_seed_bit_rot_sharded(seed, shards, &cfg),
+            }
+            .map(|r| {
                 totals.sql_acked += r.sql_acked;
                 totals.crashes += r.crashes;
                 totals.recoveries += r.recoveries;
@@ -208,31 +111,67 @@ fn main() -> ExitCode {
                 totals.salvaged_opens += r.salvaged_opens;
                 totals.acked_lost += r.acked_lost;
                 halted += u64::from(r.halted_on_divergence);
-            }
-            Err(f) => {
-                eprintln!("{f}");
-                eprintln!(
-                    "reproduce: cargo run --release --example sim -- \
-                     --base {} --seeds 1 --shards {shards} --ops {ops}{}",
-                    f.seed,
-                    if bit_rot { " --bit-rot" } else { "" }
-                );
-                return ExitCode::FAILURE;
-            }
+            })
+        };
+        if let Err(f) = result {
+            eprintln!("{f}");
+            eprintln!(
+                "reproduce: cargo run --release --example sim -- \
+                 --base {} --seeds 1 --shards {shards} --ops {ops}{mode}",
+                f.seed
+            );
+            return ExitCode::FAILURE;
         }
+        ran += 1;
     }
-    print!(
-        "sim ok: {ran} seeds ({} acked stmts, {} crashes, {} recoveries, {} checkpoints, \
-         {} group moves",
-        totals.sql_acked, totals.crashes, totals.recoveries, totals.checkpoints, totals.moves,
-    );
-    if bit_rot {
-        print!(
-            ", {} bits flipped, {} salvaged opens, {} acked stmts confessed lost, \
-             {halted} halted",
-            totals.bit_rot_flips, totals.salvaged_opens, totals.acked_lost,
+
+    if failover {
+        println!(
+            "failover sim ok: {ran} seeds ({} acked stamps, {} promotions, \
+             {} fencing probes, {} dedupe retries, {} partitions, {} heartbeat dups, \
+             {} cuts, {} follower kills, {} pump cycles, {} bytes shipped, \
+             {} bytes lost in flight) in {:?}",
+            net.acked,
+            net.promotions,
+            net.fencing_probes,
+            net.dedupe_retries,
+            net.partitions,
+            net.heartbeat_duplicates,
+            net.connection_cuts,
+            net.follower_kills,
+            net.pump_cycles,
+            net.bytes_shipped,
+            net.bytes_lost_in_flight,
+            start.elapsed()
         );
+    } else if replication {
+        println!(
+            "replication sim ok: {ran} seeds ({} acked stmts, {} pump cycles, \
+             {} cuts, {} follower kills, {} leader kills, {} bytes shipped, \
+             {} bytes lost in flight) in {:?}",
+            net.acked,
+            net.pump_cycles,
+            net.connection_cuts,
+            net.follower_kills,
+            net.leader_kills,
+            net.bytes_shipped,
+            net.bytes_lost_in_flight,
+            start.elapsed()
+        );
+    } else {
+        print!(
+            "sim ok: {ran} seeds ({} acked stmts, {} crashes, {} recoveries, {} checkpoints, \
+             {} group moves",
+            totals.sql_acked, totals.crashes, totals.recoveries, totals.checkpoints, totals.moves,
+        );
+        if bit_rot {
+            print!(
+                ", {} bits flipped, {} salvaged opens, {} acked stmts confessed lost, \
+                 {halted} halted",
+                totals.bit_rot_flips, totals.salvaged_opens, totals.acked_lost,
+            );
+        }
+        println!(") in {:?}", start.elapsed());
     }
-    println!(") in {:?}", start.elapsed());
     ExitCode::SUCCESS
 }

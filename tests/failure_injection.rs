@@ -972,6 +972,123 @@ mod bit_rot_salvage {
         }
     }
 
+    /// Sweep: flip one bit in EVERY byte of the final segment's 16-byte
+    /// header while acknowledged frames follow it. Only a file no longer
+    /// than its header is the footprint of a crash while creating the
+    /// segment; here the header is rot, so Strict must refuse every flip
+    /// with an error naming the segment and leave the file in place.
+    #[test]
+    fn rotted_final_segment_header_swept_per_byte() {
+        const HEADER_LEN: usize = 16;
+        let sim = SimFs::new(0xb17_f1a);
+        let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+        let root = Path::new("/sim/rot-final");
+        let opts = DurabilityOptions {
+            segment_bytes: 256,
+            ..Default::default()
+        };
+        {
+            let mut d = ChronicleDb::open_with_vfs(Arc::clone(&vfs), root, opts).unwrap();
+            for stmt in DDL {
+                d.execute(stmt).unwrap();
+            }
+            for i in 0..10 {
+                append_nth(&mut d, i);
+            }
+        }
+        let segs = files_with_ext(&sim, &root.join("wal"), "seg");
+        let victim = segs.last().unwrap();
+        let full = sim.peek(victim).unwrap();
+        assert!(full.len() > HEADER_LEN, "the final segment holds frames");
+        let name = victim.file_name().unwrap().to_str().unwrap();
+
+        for at in 0..HEADER_LEN {
+            let mut bytes = full.clone();
+            bytes[at] ^= 0x40;
+            let rotten = sim.fork();
+            rotten.install(victim, &bytes);
+            let err = ChronicleDb::open_with_vfs(Arc::new(rotten.clone()), root, opts)
+                .err()
+                .unwrap_or_else(|| panic!("byte {at}: strict open must refuse"));
+            match &err {
+                ChronicleError::Corruption { detail } => {
+                    assert!(detail.contains(name), "byte {at}: {detail}")
+                }
+                other => panic!("byte {at}: expected Corruption, got: {other}"),
+            }
+            assert_eq!(
+                rotten.peek(victim).as_deref(),
+                Some(&bytes[..]),
+                "byte {at}: the refused segment must stay on disk"
+            );
+        }
+    }
+
+    /// An intact checkpoint of another format (magic `CHRCKPT2`, CRC
+    /// fixed up) is not rot: Strict and Salvage both refuse it with
+    /// `UnsupportedFormat` naming the image, and Salvage quarantines
+    /// nothing — falling back past it would open a well-formed database
+    /// to an older state.
+    #[test]
+    fn checkpoint_of_another_format_is_refused_not_skipped() {
+        let sim = SimFs::new(0xb17_c4f);
+        let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+        let root = Path::new("/sim/ckpt-format");
+        let opts = DurabilityOptions::default();
+        {
+            let mut d = ChronicleDb::open_with_vfs(Arc::clone(&vfs), root, opts).unwrap();
+            for stmt in DDL {
+                d.execute(stmt).unwrap();
+            }
+            for i in 0..4 {
+                append_nth(&mut d, i);
+            }
+            d.checkpoint().unwrap();
+            append_nth(&mut d, 4);
+        }
+        let ckpts = files_with_ext(&sim, root, "ckpt");
+        let image = ckpts.last().unwrap();
+        let mut bytes = sim.peek(image).unwrap();
+        let at = bytes
+            .windows(8)
+            .position(|w| w == b"CHRCKPT1")
+            .expect("the image carries its magic");
+        bytes[at + 7] = b'2';
+        let body = bytes.len() - 4;
+        let crc = chronicle::durability::crc::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        let name = image.file_name().unwrap().to_str().unwrap();
+
+        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+            let other = sim.fork();
+            other.install(image, &bytes);
+            let opts = DurabilityOptions {
+                recovery: policy,
+                ..opts
+            };
+            let err = ChronicleDb::open_with_vfs(Arc::new(other.clone()), root, opts)
+                .err()
+                .unwrap_or_else(|| panic!("{policy:?}: the open must refuse"));
+            match &err {
+                ChronicleError::UnsupportedFormat {
+                    artifact, found, ..
+                } => {
+                    assert!(artifact.contains(name), "{policy:?}: {err}");
+                    assert_eq!(found, "CHRCKPT2", "{policy:?}");
+                }
+                other => panic!("{policy:?}: expected UnsupportedFormat, got: {other}"),
+            }
+            assert!(
+                !other
+                    .live_files()
+                    .iter()
+                    .any(|p| p.starts_with(root.join("quarantine"))),
+                "{policy:?}: nothing may be quarantined"
+            );
+            assert_eq!(other.peek(image).as_deref(), Some(&bytes[..]), "{policy:?}");
+        }
+    }
+
     /// Sweep: flip one byte at EVERY offset of the NEWEST checkpoint
     /// image while an older image is still retained. Checkpointing
     /// truncated the WAL through the newest image, so its records exist

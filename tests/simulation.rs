@@ -18,7 +18,8 @@
 //! ```
 
 use chronicle::sim::{
-    run_failover_seed, run_seed, run_seed_bit_rot, run_seed_bit_rot_sharded, run_seed_sharded,
+    run_failover_seed, run_replication_seed, run_seed, run_seed_bit_rot, run_seed_bit_rot_sharded,
+    run_seed_sharded, NetReport,
 };
 use chronicle::simkit::ScheduleConfig;
 
@@ -165,9 +166,7 @@ fn sharded_topology_bit_rot_seeds_salvage_clean() {
 /// ```
 #[test]
 fn failover_fixed_seeds_promote_clean() {
-    let mut acked = 0;
-    let mut promotions = 0;
-    let mut retries = 0;
+    let mut totals = NetReport::default();
     for seed in SEEDS {
         let shards = if seed % 2 == 0 { 1 } else { 2 };
         let r = run_failover_seed(seed, shards, &cfg())
@@ -180,11 +179,52 @@ fn failover_fixed_seeds_promote_clean() {
             r.fencing_probes, r.promotions,
             "seed {seed}: every promotion fences the deposed term"
         );
-        acked += r.stamped_acked;
-        promotions += r.promotions;
-        retries += r.dedupe_retries;
+        totals += r;
     }
-    assert!(acked > 100, "schedules ack stamped work (got {acked})");
-    assert!(promotions >= 24, "got {promotions} promotions");
-    assert!(retries >= 24, "got {retries} dedupe retries");
+    // The `--failover --base 0 --seeds 24 --shards 2 --ops 120` totals:
+    // any change to the failover schedules shows up here.
+    assert_eq!(
+        totals,
+        NetReport {
+            acked: 1814,
+            promotions: 165,
+            fencing_probes: 165,
+            dedupe_retries: 220,
+            partitions: 212,
+            heartbeat_duplicates: 241,
+            connection_cuts: 249,
+            follower_kills: 158,
+            pump_cycles: 18_286,
+            bytes_shipped: 1_060_519,
+            bytes_lost_in_flight: 87_695,
+            ..NetReport::default()
+        }
+    );
+}
+
+/// The replication twin of the failover slice (`--replication` in the
+/// example runner): schedule SQL acknowledged on leader durability, the
+/// follower a legal prefix after every kill and converged at the end.
+#[test]
+fn replication_fixed_seeds_converge_clean() {
+    let mut totals = NetReport::default();
+    for seed in SEEDS {
+        let shards = if seed % 2 == 0 { 1 } else { 2 };
+        totals += run_replication_seed(seed, shards, &cfg())
+            .unwrap_or_else(|f| panic!("replication simulation failed: {f}"));
+    }
+    // The `--replication --base 0 --seeds 24 --shards 2 --ops 120` totals.
+    assert_eq!(
+        totals,
+        NetReport {
+            acked: 2519,
+            pump_cycles: 7070,
+            connection_cuts: 259,
+            follower_kills: 260,
+            leader_kills: 251,
+            bytes_shipped: 452_380,
+            bytes_lost_in_flight: 60_497,
+            ..NetReport::default()
+        }
+    );
 }
